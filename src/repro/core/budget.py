@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.scoring import ServerScore
-from repro.middleware.plugin_scheduler import CandidateEntry, PluginScheduler
+from repro.core.scoring import score_vectors
+from repro.middleware.plugin_scheduler import CandidateEntry, PluginScheduler, sort_by_key
 from repro.middleware.requests import ServiceRequest
 from repro.util.validation import ensure_in_range, ensure_non_negative, ensure_positive
 
@@ -125,14 +125,12 @@ class BudgetAwareScheduler(PluginScheduler):
     def _energy_ranking(
         self, request: ServiceRequest, candidates: Sequence[CandidateEntry]
     ) -> list[CandidateEntry]:
-        scored = []
-        for entry in candidates:
-            evaluation = ServerScore.from_vector(
-                entry.estimation, flop=request.task.flop, user_preference=0.9
-            )
-            scored.append((evaluation.energy, entry.server, entry))
-        scored.sort(key=lambda item: (item[0], item[1]))
-        return [entry for _, _, entry in scored]
+        _, energies, _ = score_vectors(
+            [entry.estimation for entry in candidates],
+            flop=request.task.flop,
+            user_preference=0.9,
+        )
+        return sort_by_key(candidates, energies.tolist())
 
     def sort(
         self, request: ServiceRequest, candidates: Sequence[CandidateEntry]

@@ -32,14 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.greenperf import PowerEstimationMode, greenperf_of_vector
-from repro.core.scoring import (
-    ServerScore,
-    completion_time_array,
-    energy_consumption_array,
-    score_array,
-)
+from repro.core.scoring import green_scores, score_vectors
 from repro.middleware.estimation import EstimationTags
-from repro.middleware.plugin_scheduler import CandidateEntry, PluginScheduler
+from repro.middleware.plugin_scheduler import CandidateEntry, PluginScheduler, sort_by_key
 from repro.middleware.requests import ServiceRequest
 
 
@@ -217,6 +212,10 @@ class GreenSchedulerPolicy(PluginScheduler):
 
     name = "GREEN_SCORE"
 
+    #: Candidates are sorted by ``(score, server)``: a total order per
+    #: request, so the Master Agent may elect with one flat sort.
+    total_order = True
+
     def __init__(
         self,
         *,
@@ -226,23 +225,23 @@ class GreenSchedulerPolicy(PluginScheduler):
         self.default_preference = default_preference
         self.use_dynamic_power = use_dynamic_power
 
+    def _preference(self, request: ServiceRequest) -> float:
+        preference = request.user_preference
+        return self.default_preference if preference == 0.0 else preference
+
     def sort(
         self, request: ServiceRequest, candidates: Sequence[CandidateEntry]
     ) -> list[CandidateEntry]:
-        preference = request.user_preference
-        if preference == 0.0:
-            preference = self.default_preference
-        scored: list[tuple[float, str, CandidateEntry]] = []
-        for entry in candidates:
-            evaluation = ServerScore.from_vector(
-                entry.estimation,
-                flop=request.task.flop,
-                user_preference=preference,
-                use_dynamic_power=self.use_dynamic_power,
-            )
-            scored.append((evaluation.score, entry.server, entry))
-        scored.sort(key=lambda item: (item[0], item[1]))
-        return [entry for _, _, entry in scored]
+        """Score every candidate once (Equations 4–6), best ``(score, server)`` first."""
+        if not candidates:
+            return []
+        _, _, scores = score_vectors(
+            [entry.estimation for entry in candidates],
+            flop=request.task.flop,
+            user_preference=self._preference(request),
+            use_dynamic_power=self.use_dynamic_power,
+        )
+        return sort_by_key(candidates, scores.tolist())
 
     def point_metric(self, request: ServiceRequest, *, flops, power):
         """Vectorised point-study metric: the Equation 6 score.
@@ -250,14 +249,8 @@ class GreenSchedulerPolicy(PluginScheduler):
         Point-study candidates are free and booted (waiting time and boot
         costs zero), so Equations 4–5 reduce to their active branches.
         """
-        preference = request.user_preference
-        if preference == 0.0:
-            preference = self.default_preference
-        time = completion_time_array(request.task.flop, flops)
-        energy = energy_consumption_array(
-            request.task.flop, flops, full_load_power=power
-        )
-        return score_array(time, energy, preference)
+        _, _, scores = green_scores(request.task.flop, flops, power, self._preference(request))
+        return scores
 
 
 #: Registry used by experiments and the CLI-style examples.

@@ -385,11 +385,13 @@ class ProvisioningPlanner:
         )
 
         def _periodic() -> None:
-            self.check(self.engine.now)
-            self.drain_deprovisioned_nodes(self.engine.now)
-            self.engine.schedule_in(
-                self.config.check_period, _periodic, label="provisioning-check"
-            )
+            now = self.engine.now
+            self.check(now)
+            self.drain_deprovisioned_nodes(now)
+            # Scheduling the next check through start() gives each check a
+            # fresh closure: one that rescheduled itself would hold itself
+            # in a reference cycle, and the planner with it.
+            self.start(first_check_at=now + self.config.check_period)
 
         self.engine.schedule(start_time, _periodic, label="provisioning-check")
 

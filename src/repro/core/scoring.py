@@ -23,7 +23,10 @@ time × energy, P → +0.9 makes it energy-dominated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -90,41 +93,124 @@ def score(time: float, energy: float, user_preference: float) -> float:
     return time ** preference_exponent(user_preference) * energy
 
 
-# -- vectorised variants (Equations 4–6 over a candidate axis) ------------------
+# -- Equations 4–6 over a candidate axis ------------------------------------------------
 #
-# These evaluate the same float64 expressions as the scalar functions above,
-# element-wise over numpy arrays.  IEEE-754 arithmetic makes ``a / b``,
-# ``a * b`` and ``a + b`` bit-identical between the scalar and array forms,
-# and ``np.power`` calls the same C ``pow`` as Python's ``**`` on floats, so
-# elections computed through these arrays match the scalar path exactly.
+# ``green_scores`` evaluates the same float64 expressions as the scalar
+# functions above, element-wise over numpy arrays, so it scores an election's
+# candidates once and bit-identically to ``ServerScore.from_vector``:
+# IEEE-754 ``+``, ``*`` and ``/`` round the same way in scalar and array form
+# (the association is kept: ``(power * flop) / flops``), and the Equation 6
+# power goes through Python's float ``**`` — numpy's SIMD ``np.power`` may
+# differ from the C library's ``pow`` in the last bit on some CPUs.
 
 
-def completion_time_array(
+def _require(values: np.ndarray, name: str, servers, *, strict: bool = False) -> None:
+    """Raise ``ValueError`` unless every value is finite and ``> 0`` (strict) or ``>= 0``.
+
+    One ``min`` and one ``max`` decide the common case (a NaN fails the
+    ``min`` comparison); only a failing column is searched for its culprit.
+    """
+    low = values.min()
+    if (low > 0 if strict else low >= 0) and values.max() < math.inf:
+        return
+    per_server = servers is not None and values.ndim == 1
+    values = np.atleast_1d(values)
+    bad = ~np.isfinite(values) | ((values <= 0) if strict else (values < 0))
+    index = int(np.flatnonzero(bad)[0])
+    where = f" for server {servers[index]!r}" if per_server else ""
+    bound = "> 0" if strict else ">= 0"
+    raise ValueError(f"{name}{where} must be finite and {bound}, got {values[index]!r}")
+
+
+def green_scores(
     flop: float,
     flops_per_second: np.ndarray,
-    *,
-    waiting_time: np.ndarray | float = 0.0,
-) -> np.ndarray:
-    """Equation 4 for *active* servers, over the candidate axis (s)."""
-    return waiting_time + flop / flops_per_second
-
-
-def energy_consumption_array(
-    flop: float,
-    flops_per_second: np.ndarray,
-    *,
     full_load_power: np.ndarray,
-) -> np.ndarray:
-    """Equation 5 for *active* servers, over the candidate axis (J)."""
-    # Same association as the scalar form: (power * flop) / flops.
-    return full_load_power * flop / flops_per_second
+    user_preference: float,
+    *,
+    active: np.ndarray | bool = True,
+    waiting_time: np.ndarray | float = 0.0,
+    boot_time: np.ndarray | float = 0.0,
+    boot_power: np.ndarray | float = 0.0,
+    servers: Sequence[str] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equations 4–6 over the candidate axis: ``(time, energy, score)`` arrays.
+
+    Active servers pay their waiting queue, inactive ones their boot time
+    and boot energy.  Inputs are checked once per call, as arrays; they
+    raise :class:`ValueError` exactly where the scalar functions would
+    (``servers``, when given, names the offending candidate), and a score
+    overflowing float64 raises :class:`OverflowError` as ``**`` does.
+
+    >>> time, energy, score = green_scores(
+    ...     2e9, np.array([1e9, 2e9]), np.array([100.0, 300.0]), 0.0,
+    ...     active=np.array([True, False]), boot_time=10.0, boot_power=50.0)
+    >>> time.tolist(), energy.tolist(), score.tolist()
+    ([2.0, 11.0], [200.0, 800.0], [400.0, 8800.0])
+    """
+    ensure_non_negative(flop, "flop")
+    flops = np.asarray(flops_per_second, dtype=np.float64)
+    if flops.size == 0:
+        empty = np.zeros(0)
+        return empty, empty, empty
+    waiting = np.asarray(waiting_time, dtype=np.float64)
+    boot = np.asarray(boot_time, dtype=np.float64)
+    power = np.asarray(full_load_power, dtype=np.float64)
+    boot_draw = np.asarray(boot_power, dtype=np.float64)
+    _require(flops, "flops_per_second", servers, strict=True)
+    _require(waiting, "waiting_time", servers)
+    _require(boot, "boot_time", servers)
+    _require(power, "full_load_power", servers)
+    _require(boot_draw, "boot_power", servers)
+    execution = flop / flops
+    time = np.where(active, waiting + execution, boot + execution)
+    execution_energy = power * flop / flops
+    energy = np.where(active, execution_energy, boot * boot_draw + execution_energy)
+    _require(time, "time", servers, strict=True)
+    _require(energy, "energy", servers)
+    exponent = preference_exponent(user_preference)
+    powered = np.array([value**exponent for value in time.tolist()], dtype=np.float64)
+    return time, energy, powered * energy
 
 
-def score_array(
-    time: np.ndarray, energy: np.ndarray, user_preference: float
-) -> np.ndarray:
-    """Equation 6 over the candidate axis (lower is better)."""
-    return np.power(time, preference_exponent(user_preference)) * energy
+def score_vectors(
+    vectors: Sequence[EstimationVector],
+    *,
+    flop: float,
+    user_preference: float,
+    use_dynamic_power: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`green_scores` of estimation vectors, each scored once.
+
+    Reads the same tags, with the same defaults, as
+    :meth:`ServerScore.from_vector`, whose per-vector results these arrays
+    equal bit for bit.
+    """
+    power_tag = EstimationTags.MEAN_POWER if use_dynamic_power else EstimationTags.PEAK_POWER
+    rows = [
+        (
+            values[EstimationTags.FLOPS_PER_CORE],
+            values[power_tag],
+            values.get(EstimationTags.WAITING_TIME, 0.0),
+            values.get(EstimationTags.BOOT_TIME, 0.0),
+            values.get(EstimationTags.BOOT_POWER, 0.0),
+            values.get(EstimationTags.NODE_AVAILABLE, 0.0),
+        )
+        for values in (vector.values for vector in vectors)
+    ]
+    table = np.fromiter(chain.from_iterable(rows), np.float64, 6 * len(rows))
+    flops, power, waiting, boot_time, boot_power, available = table.reshape(-1, 6).T
+    return green_scores(
+        flop,
+        flops,
+        power,
+        user_preference,
+        active=available >= 0.5,
+        waiting_time=waiting,
+        boot_time=boot_time,
+        boot_power=boot_power,
+        servers=[vector.server for vector in vectors],
+    )
 
 
 @dataclass(frozen=True)
@@ -151,6 +237,8 @@ class ServerScore:
         servers pay their boot time and boot energy (Equations 4–5).  The
         full-load power ``c_s`` is taken from the dynamic mean-power tag by
         default, falling back to the nameplate peak power when requested.
+        Elections score many vectors at once with :func:`score_vectors`;
+        this scalar form is its reference.
         """
         active = vector.available
         flops = vector.get(EstimationTags.FLOPS_PER_CORE)

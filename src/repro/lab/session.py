@@ -342,8 +342,16 @@ class LabSession:
             self._start_capacity_client(simulation, platform, planner, timeline)
         else:
             simulation.submit_workload(tasks)
-        result = simulation.run(until=self.horizon)
+        result = self._middleware_result(simulation, platform, planner, timeline)
+        # Nothing runs on this stack again: cut its reference cycles so the
+        # run's nodes and power segments are freed now, not at the next
+        # full garbage collection.
+        simulation.dismantle()
+        return result
 
+    def _middleware_result(self, simulation, platform, planner, timeline) -> LabResult:
+        """Run the assembled simulation to the horizon and summarise it."""
+        result = simulation.run(until=self.horizon)
         energy_log = simulation.energy_log
         if planner is not None:
             duration = self.horizon
@@ -393,13 +401,16 @@ class LabSession:
         platform,
         planner,
         timeline: EventTimeline | None,
+        at: float = 0.0,
     ) -> None:
-        """The adaptive experiment's closed-loop client.
+        """The adaptive experiment's closed-loop client, ticking first at ``at``.
 
         Every tick, the in-flight request count is topped up to the
         capacity (cores) of the current candidate nodes, stopping new
         submissions shortly before the horizon so the last tasks can
-        complete within the observation window.
+        complete within the observation window.  Each tick schedules the
+        next through this method, so no closure holds itself in a
+        reference cycle.
         """
         workload = self.workload
         submission_deadline = self.horizon - planner.config.check_period
@@ -433,11 +444,11 @@ class LabSession:
                             client=workload.client,
                         )
                     )
-                simulation.engine.schedule_in(
-                    workload.client_tick, _client_tick, label="client-tick"
+                self._start_capacity_client(
+                    simulation, platform, planner, timeline, now + workload.client_tick
                 )
 
-        simulation.engine.schedule(0.0, _client_tick, label="client-tick")
+        simulation.engine.schedule(at, _client_tick, label="client-tick")
 
     # -- queue backend ------------------------------------------------------------------
     def _run_queue(self) -> LabResult:

@@ -20,6 +20,7 @@ final sorting — that is where the administrator's thresholds and
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable, Sequence
 
 from repro.middleware.plugin_scheduler import (
@@ -30,7 +31,10 @@ from repro.middleware.plugin_scheduler import (
 from repro.middleware.requests import SchedulingOutcome, ServiceRequest
 from repro.middleware.sed import ServerDaemon
 
-#: Hook filtering the candidate entries the Master Agent considers.
+#: Hook filtering the candidate entries the Master Agent considers.  It
+#: selects a subset, and which entries it keeps must not depend on the order
+#: of its input: the Master Agent re-sorts whatever it returns, and the flat
+#: election hands it the candidates unsorted.
 CandidateFilter = Callable[[ServiceRequest, Sequence[CandidateEntry]], Sequence[CandidateEntry]]
 
 
@@ -53,7 +57,8 @@ class Agent:
         self._scheduler = scheduler or FirstComeFirstServedScheduler()
         self._child_agents: list[Agent] = []
         self._seds: list[ServerDaemon] = []
-        self._parent: "Agent | None" = None
+        #: Weak, so an agent tree holds no reference cycle of its own.
+        self._parent: "weakref.ref[Agent] | None" = None
         #: Monotonic counter bumped (and propagated to ancestors) on every
         #: topology or scheduler change, so the Master Agent knows when its
         #: resident ranking must be rebuilt.
@@ -73,7 +78,7 @@ class Agent:
         agent: Agent | None = self
         while agent is not None:
             agent._version += 1
-            agent = agent._parent
+            agent = agent._parent() if agent._parent is not None else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -87,7 +92,7 @@ class Agent:
         if agent is self:
             raise ValueError("an agent cannot be its own child")
         self._child_agents.append(agent)
-        agent._parent = self
+        agent._parent = weakref.ref(self)
         self._bump_version()
 
     def add_sed(self, sed: ServerDaemon) -> None:
@@ -120,20 +125,30 @@ class Agent:
                 child.set_scheduler(scheduler, recursive=True)
 
     # -- request propagation -----------------------------------------------------------
-    def collect_candidates(self, request: ServiceRequest) -> list[CandidateEntry]:
+    def collect_candidates(
+        self, request: ServiceRequest, *, ranked: bool = True
+    ) -> list[CandidateEntry]:
         """Steps 2–4 for this subtree: propagate, collect, sort.
 
         Only SeDs that can solve the requested service and whose node is
-        powered on contribute an estimation vector.
+        powered on contribute an estimation vector.  ``ranked=False``
+        skips every per-level sort and returns the subtree's candidates
+        in depth-first order, for the Master Agent's flat election.
         """
         local: list[CandidateEntry] = []
+        service = request.service
         for sed in self._seds:
-            if not sed.can_solve(request.service):
+            if not sed.can_solve(service):
                 continue
             vector = sed.estimate(request)
             if not vector.available:
                 continue
             local.append(CandidateEntry.from_vector(vector))
+
+        if not ranked:
+            for child in self._child_agents:
+                local.extend(child.collect_candidates(request, ranked=False))
+            return local
 
         partial_rankings: list[Sequence[CandidateEntry]] = []
         if local:
@@ -177,10 +192,13 @@ class MasterAgent(Agent):
         super().__init__(name, scheduler=scheduler)
         self.candidate_filter = candidate_filter
         #: Force-disable knob: ``False`` always takes the per-request tree
-        #: walk (used by equivalence tests and baseline benchmarks).
+        #: walk — no resident ranking, no flat election (used by
+        #: equivalence tests and baseline benchmarks).
         self.use_resident_ranking = use_resident_ranking
         self._ranking = None
         self._ranking_version = -1
+        self._flat = False
+        self._flat_version = -1
         #: Optional :class:`~repro.util.phases.PhaseTimer` attributing
         #: election time to the estimation/scoring phases (profiled runs
         #: only; ``None`` costs nothing).
@@ -189,6 +207,20 @@ class MasterAgent(Agent):
     def set_candidate_filter(self, candidate_filter: CandidateFilter | None) -> None:
         """Install (or clear) the candidate filter."""
         self.candidate_filter = candidate_filter
+
+    def detach(self) -> None:
+        """Drop the candidate filter and the resident ranking.
+
+        Both point back at the hierarchy (the provisioning planner's
+        filter holds this agent; the ranking listens on every SeD), so a
+        finished stack is reclaimed by reference counting only once they
+        are cut.  The next election rebuilds the ranking.
+        """
+        self.candidate_filter = None
+        if self._ranking is not None and self._ranking is not self._RANKING_UNSUPPORTED:
+            self._ranking.detach()
+        self._ranking = None
+        self._ranking_version = -1
 
     # -- resident ranking ---------------------------------------------------------
     def _iter_agents(self) -> Iterable["Agent"]:
@@ -217,6 +249,24 @@ class MasterAgent(Agent):
         if any(not sed.estimation_cacheable for sed in seds):
             return self._RANKING_UNSUPPORTED
         return ResidentRanking(self._scheduler, seds)
+
+    def _flat_election(self) -> bool:
+        """Whether one sort of every candidate equals the tree walk's ranking.
+
+        True when one ``total_order`` policy instance sorts at *every*
+        level (the check :meth:`_build_ranking` makes for ``rank_key``).
+        Its order is total per request, so per-level sort + aggregate and a
+        single sort of the merged candidates are the same permutation; the
+        candidate filter, a selection that does not depend on the order
+        of its input, then sees the same set either way.
+        """
+        if self._flat_version != self._version:
+            scheduler = self._scheduler
+            self._flat = bool(getattr(scheduler, "total_order", False)) and all(
+                agent._scheduler is scheduler for agent in self._iter_agents()
+            )
+            self._flat_version = self._version
+        return self._flat
 
     def _resident_candidates(self, request: ServiceRequest):
         """Ranked candidates from the resident order, or ``None`` to fall back."""
@@ -254,14 +304,18 @@ class MasterAgent(Agent):
         if timer is not None:
             timer.push("estimation")
         candidates = self._resident_candidates(request)
+        flat = False
         if candidates is None:
-            candidates = self.collect_candidates(request)
+            flat = self.use_resident_ranking and self._flat_election()
+            candidates = self.collect_candidates(request, ranked=not flat)
         if timer is not None:
             timer.pop()
             timer.push("scoring")
         try:
             if self.candidate_filter is not None and candidates:
                 candidates = list(self.candidate_filter(request, candidates))
+                candidates = self.scheduler.sort(request, candidates)
+            elif flat and candidates:
                 candidates = self.scheduler.sort(request, candidates)
             if not candidates:
                 return SchedulingOutcome(

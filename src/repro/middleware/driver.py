@@ -458,6 +458,27 @@ class MiddlewareSimulation:
         if self.accountant is not None:
             self.accountant.close(self.engine.now)
 
+    def dismantle(self) -> None:
+        """Take the finished stack apart so reference counting reclaims it.
+
+        Nodes, queues, SeDs, rankings, the energy accountant, the Master
+        Agent's candidate filter and pending engine events point at each
+        other; left alone, those cycles keep a finished run's nodes and
+        power segments alive until a full garbage collection.  This cuts
+        them all: the accountant (:meth:`close`) and SeDs detach from the
+        nodes and queues, the Master Agent drops its filter and ranking,
+        and the engine drops its pending events.  Results already returned stay
+        valid, but nothing can run on this stack afterwards —
+        :class:`~repro.lab.session.LabSession` calls it after each run;
+        the resident serving state never does.
+        """
+        self.close()
+        for sed in self.seds.values():
+            sed.detach()
+        self.master.detach()
+        self.engine.clear()
+        self._inflight.clear()
+
     # -- execution ------------------------------------------------------------------------
     def run(self, *, until: float | None = None, max_events: int | None = None) -> SimulationResult:
         """Run the simulation to completion (or ``until``) and summarise it."""

@@ -45,6 +45,19 @@ class CandidateEntry:
         return cls(server=vector.server, estimation=vector)
 
 
+def sort_by_key(
+    candidates: Sequence[CandidateEntry], keys: Sequence[float]
+) -> list[CandidateEntry]:
+    """``candidates`` ordered by ``(key, server)``, one key per candidate.
+
+    Input order breaks exact ties (a stable sort), as sorting the entries
+    with ``key=lambda e: (key_of(e), e.server)`` would.
+    """
+    names = [entry.server for entry in candidates]
+    ranked = sorted(zip(keys, names, range(len(names))))
+    return [candidates[index] for _, _, index in ranked]
+
+
 class PluginScheduler(ABC):
     """Sorts candidate servers for a request.  Stateless unless documented."""
 
@@ -63,6 +76,16 @@ class PluginScheduler(ABC):
     #: the order resident across requests and reposition single servers in
     #: O(log n) instead of re-sorting everything per election.
     rank_key = None
+
+    #: Whether :meth:`sort` orders each request's candidates totally.
+    #:
+    #: Policies whose :meth:`sort` ranks by a per-request key that ends
+    #: with the server name (so no two candidates tie) and that keep no
+    #: mutable state set this to ``True``.  Per-level sort plus
+    #: :meth:`aggregate` then equals one sort of every candidate, so the
+    #: :class:`~repro.middleware.agents.MasterAgent` may collect the
+    #: hierarchy's candidates unsorted and sort them once per election.
+    total_order = False
 
     #: Vectorised metric over free single-core point-study servers, or ``None``.
     #:

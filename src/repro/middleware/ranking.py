@@ -26,10 +26,11 @@ The ranking serves exactly what
 produced for a hierarchy whose agents all share one ``rank_key`` policy:
 available servers only (OFF/BOOTING/FAILED nodes are dropped and re-appear
 through their recovery transitions), filtered by ``can_solve``.  Policies
-without a ``rank_key`` (RANDOM's per-request noise, GREEN_SCORE's
-request-dependent score, the queue-family adapters, FCFS) and hierarchies
-with custom estimation functions fall back to the tree walk — the ranking
-reports itself unusable rather than guessing.
+without a ``rank_key`` and hierarchies with custom estimation functions do
+not use it — the ranking reports itself unusable rather than guessing.
+GREEN_SCORE's request-dependent score takes the Master Agent's flat
+election instead (one sort per request); RANDOM's per-request noise, the
+queue-family adapters and FCFS walk the tree.
 """
 
 from __future__ import annotations

@@ -80,7 +80,8 @@ class ServerDaemon:
         #: resident ranking (:mod:`repro.middleware.ranking`) subscribes
         #: here to mark this SeD dirty in O(1) per transition.
         self._invalidation_listeners: list[Callable[["ServerDaemon"], None]] = []
-        if self._cacheable:
+        self._subscribed = self._cacheable
+        if self._subscribed:
             node.add_power_listener(self._on_state_change)
             self.queue.add_listener(self.invalidate_estimation)
 
@@ -139,6 +140,23 @@ class ServerDaemon:
             self._invalidation_listeners.remove(listener)
         except ValueError:
             pass
+
+    def detach(self) -> None:
+        """Unsubscribe from the node and queue; drop every invalidation listener.
+
+        Each of those links points both ways (the node's listener is this
+        SeD's bound method, a ranking listening here holds this SeD), so a
+        finished stack is reclaimed by reference counting only once they
+        are cut.  The estimation cache stops tracking state afterwards, so
+        it is disabled.
+        """
+        if self._subscribed:
+            self.node.remove_power_listener(self._on_state_change)
+            self.queue.remove_listener(self.invalidate_estimation)
+            self._subscribed = False
+        self._invalidation_listeners.clear()
+        self._cacheable = False
+        self._cached_vector = None
 
     @property
     def estimation_cached(self) -> bool:

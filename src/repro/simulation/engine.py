@@ -305,6 +305,13 @@ class SimulationEngine:
         if until is not None:
             self._now = max(self._now, until)
 
+    def clear(self) -> None:
+        """Drop every pending event unfired, releasing its callback."""
+        for entry in self._heap:
+            entry._engine = None
+        self._heap.clear()
+        self._pending = 0
+
     def peek_next_time(self) -> float | None:
         """Firing time of the next live event, or ``None`` if the queue is empty."""
         while self._heap:

@@ -228,3 +228,63 @@ class TestAvailabilityWindows:
 
     def test_no_timeline_means_no_windows(self):
         assert _availability_windows(None) == {}
+
+
+class TestFinishedRunIsReclaimed:
+    """A finished middleware run leaves no reference cycle behind.
+
+    Listeners (node → SeD, queue → SeD, node → energy accountant), ranking
+    subscriptions, the provisioning filter and self-rescheduling callbacks
+    used to tie a run's nodes and power segments into cycles that only a
+    full garbage collection freed.  With the collector off, reference
+    counting alone must now reclaim every one of them.
+    """
+
+    @staticmethod
+    def _alive() -> int:
+        import gc
+
+        from repro.infrastructure.energy import PowerSegment
+        from repro.infrastructure.node import Node
+
+        return sum(isinstance(o, (Node, PowerSegment)) for o in gc.get_objects())
+
+    @pytest.mark.parametrize(
+        "workload, policy",
+        [
+            (WorkloadSource.from_generator(_tiny_generator()), "GREEN_SCORE"),
+            (WorkloadSource.capacity(client_tick=120.0), "POWER"),
+        ],
+        ids=["open-loop-green-score", "capacity-power"],
+    )
+    def test_no_node_or_power_segment_survives_without_gc(self, workload, policy):
+        import gc
+
+        timeline = EventTimeline(
+            [
+                NodeFailure(time=2.0, node="taurus-0"),
+                NodeRecovery(time=900.0, node="taurus-0"),
+                TariffChange(time=600.0, cost=0.5),
+            ]
+        )
+        session = LabSession(
+            platform=PlatformSource.table1(2),
+            workload=workload,
+            policy=PolicySource(policy),
+            provisioning=ProvisioningSource(),
+            timeline=timeline,
+            horizon=1800.0,
+        )
+        gc.collect()
+        baseline = self._alive()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(2):
+                result = session.run()
+                assert result.metrics["task_count"] > 0
+                del result
+                assert self._alive() == baseline
+        finally:
+            if enabled:
+                gc.enable()

@@ -162,6 +162,41 @@ class TestQueueTableGolden:
             assert policy in report
 
 
+class TestGreenScoreGolden:
+    """GREEN_SCORE elections under provisioning, crashes and mixed preferences.
+
+    The fixture was generated by the per-candidate scalar election
+    (``ServerScore.from_vector`` at every agent level); the score-once
+    flat election must reproduce it exactly.
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return load_golden("green_score.json")
+
+    @pytest.fixture(scope="class")
+    def rebuilt(self):
+        import importlib.util
+
+        tool_path = Path(__file__).parent.parent / "tools" / "make_goldens.py"
+        spec = importlib.util.spec_from_file_location("make_goldens", tool_path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.green_score_golden()
+
+    def test_run_is_bit_identical(self, golden, rebuilt):
+        for key in ("tasks", "completed", "requeued", "failed", "rejected"):
+            assert rebuilt[key] == golden[key], key
+        assert rebuilt["total_energy"] == golden["total_energy"]
+        assert rebuilt["makespan"] == golden["makespan"]
+        assert rebuilt["tasks_per_node"] == golden["tasks_per_node"]
+
+    def test_scenario_exercises_crashes_and_queueing(self, golden):
+        assert golden["requeued"] > 0
+        assert golden["completed"] == golden["tasks"]
+        assert len(golden["tasks_per_node"]) > 1
+
+
 class TestGoldenToolIsInSync:
     def test_fixtures_match_the_generator(self):
         """`tools/make_goldens.py` run against HEAD must be a no-op.

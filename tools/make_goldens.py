@@ -98,10 +98,74 @@ def queue_table_golden() -> dict:
     return {"trace": "mini.swf", "queue_cores": 16, "policies": policies}
 
 
+def green_score_golden() -> dict:
+    """A GREEN_SCORE run under provisioning, a crash storm and mixed preferences.
+
+    Twelve Table I nodes behind per-cluster Local Agents, 300 tasks in
+    bursts above the provisioned capacity (so queues form and the
+    Equation 4 waiting term matters), user preferences spanning
+    ``[-1, 1]`` (±1 exercise the ±0.9 clamp, 0 falls back to the policy's
+    ``default_preference``), crashes with requeue on half of the
+    nodes and a two-level tariff cycle driving the planner.
+    """
+    import random
+
+    from repro.lab import (
+        LabSession,
+        PlatformSource,
+        PolicySource,
+        ProvisioningSource,
+        WorkloadSource,
+    )
+    from repro.scenario.generators import exponential_failures, periodic_tariffs
+    from repro.simulation.task import Task
+    from repro.simulation.trace import ExecutionTrace
+    from repro.workload.traces import TraceWorkload
+
+    rng = random.Random("green-score-golden")
+    tasks = [
+        Task(
+            flop=3.0e11 * rng.lognormvariate(0.0, 0.5),
+            arrival_time=600.0 * (index // 60) + rng.uniform(0.0, 30.0),
+            client=f"user-{rng.randrange(4)}",
+            user_preference=rng.choice((-1.0, -0.5, 0.0, 0.5, 1.0)),
+        )
+        for index in range(300)
+    ]
+    tasks.sort(key=lambda task: task.arrival_time)
+    horizon = tasks[-1].arrival_time + 3600.0
+    platform = PlatformSource.table1(4)
+    names = [node.name for node in platform.build_platform().nodes]
+    timeline = exponential_failures(
+        names[::2], mtbf=horizon / 8.0, mttr=horizon / 40.0, horizon=horizon, seed=5
+    ).extended(periodic_tariffs(period=horizon / 2.0, costs=(1.0, 0.4), horizon=horizon).events)
+    result = LabSession(
+        platform=platform,
+        workload=WorkloadSource.from_generator(TraceWorkload.from_iter(tasks)),
+        policy=PolicySource("GREEN_SCORE", preference=0.25),
+        provisioning=ProvisioningSource(),
+        timeline=timeline,
+        horizon=horizon,
+    ).run()
+    simulation = result.simulation
+    requeued = len(simulation.trace.of_kind(ExecutionTrace.TASK_REQUEUED))
+    return {
+        "tasks": len(tasks),
+        "completed": simulation.metrics.task_count,
+        "requeued": requeued,
+        "failed": simulation.failed_tasks,
+        "rejected": simulation.rejected_tasks,
+        "total_energy": simulation.metrics.total_energy,
+        "makespan": simulation.metrics.makespan,
+        "tasks_per_node": dict(simulation.metrics.tasks_per_node),
+    }
+
+
 GOLDENS = {
     "table2.json": table2_golden,
     "figure9.json": figure9_golden,
     "queue_table.json": queue_table_golden,
+    "green_score.json": green_score_golden,
 }
 
 
