@@ -41,7 +41,6 @@ from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.trace import ExecutionTrace
-from repro.util.rwlock import ReadersWriterLock
 from repro.util.validation import ensure_positive
 from repro.util.xmlplan import PlanningEntry, write_planning
 
@@ -114,7 +113,6 @@ class ProvisioningPlanner:
         self.engine = engine
         self.trace = trace
         self.config = config or ProvisioningConfig()
-        self.plan_lock = ReadersWriterLock()
         self._planning: list[PlanningEntry] = []
         self._decisions: list[ProvisioningDecision] = []
         self._candidates: set[str] = set()
@@ -183,8 +181,7 @@ class ProvisioningPlanner:
     @property
     def planning_entries(self) -> Sequence[PlanningEntry]:
         """The provisioning-planning samples accumulated so far (Fig. 8)."""
-        with self.plan_lock.read_locked():
-            return tuple(self._planning)
+        return tuple(self._planning)
 
     def status_at(self, time: float) -> PlatformStatus:
         """The platform status visible to the scheduler at ``time``."""
@@ -245,8 +242,7 @@ class ProvisioningPlanner:
             candidates=len(self._candidates),
             electricity_cost=status.electricity_cost,
         )
-        with self.plan_lock.write_locked():
-            self._planning.append(entry)
+        self._planning.append(entry)
 
         snapshot = ProvisioningDecision(
             time=now,
@@ -398,7 +394,7 @@ class ProvisioningPlanner:
     # -- persistence ----------------------------------------------------------------------
     def write_planning_file(self, path: str | Path) -> None:
         """Dump the accumulated planning to an XML file (Fig. 8 format)."""
-        write_planning(path, self._planning, lock=self.plan_lock)
+        write_planning(path, self._planning)
 
     def candidate_history(self) -> Sequence[tuple[float, int]]:
         """``(time, candidate_count)`` series across all checks (Figure 9)."""

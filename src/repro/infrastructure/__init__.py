@@ -18,7 +18,7 @@ from repro.infrastructure.electricity import (
 )
 from repro.infrastructure.energy import (
     EnergyAccountant,
-    EnergyReadout,
+    PowerSample,
     PowerSegment,
     SegmentEnergyLog,
 )
@@ -31,7 +31,6 @@ from repro.infrastructure.platform import (
 )
 from repro.infrastructure.power_model import LinearPowerModel, PowerModel
 from repro.infrastructure.thermal import ThermalEnvironment, ThermalEvent
-from repro.infrastructure.wattmeter import EnergyLog, Wattmeter
 
 __all__ = [
     "Cluster",
@@ -51,10 +50,8 @@ __all__ = [
     "PowerModel",
     "ThermalEnvironment",
     "ThermalEvent",
-    "EnergyLog",
-    "Wattmeter",
     "EnergyAccountant",
-    "EnergyReadout",
+    "PowerSample",
     "PowerSegment",
     "SegmentEnergyLog",
 ]

@@ -1,21 +1,21 @@
 """Event-driven energy accounting.
 
-The seed reproduction mirrored the Grid'5000 measurement setup literally:
-a :class:`~repro.infrastructure.wattmeter.Wattmeter` polled every node
-once per simulated second, allocating one sample object per node per
-second — O(nodes × simulated-seconds) time *and* memory.  Node power is
-piecewise-constant between scheduling events, so the exact same energy
-figures are computable in O(state-changes): this module does that.
+Grid'5000's Lyon site instruments every node with an external Omegawatt
+wattmeter that reports one power sample per second; the paper integrates
+those samples into its energy figures (Section IV).  Node power is
+piecewise-constant between scheduling events, so the same figures are
+computable in O(state-changes) instead of O(nodes × simulated-seconds):
+this module does that.
 
 Three cooperating pieces:
 
 * :class:`PowerSegment` — one maximal ``(start, end, watts)`` interval of
   constant power on one node.
-* :class:`SegmentEnergyLog` — the segment store.  It preserves the full
-  query surface of the polling :class:`~repro.infrastructure.wattmeter.EnergyLog`
-  (``total_energy``, ``energy_by_node/cluster``, ``power_trace``,
-  ``mean_power``, ``samples``) but integrates energy per segment and only
-  materialises sampled traces lazily, when a figure asks for them.
+* :class:`SegmentEnergyLog` — the segment store.  It answers the queries
+  metrics and figures need (``total_energy``, ``energy_by_node/cluster``,
+  ``power_trace``, ``mean_power``, ``samples``) but integrates energy per
+  segment and only materialises sampled traces lazily, when a figure asks
+  for them.
 * :class:`EnergyAccountant` — subscribes to every node's power-change
   notification (:meth:`~repro.infrastructure.node.Node.add_power_listener`)
   and closes a segment on each transition, stamping it with the
@@ -23,16 +23,18 @@ Three cooperating pieces:
 
 Integration modes
 -----------------
-``mode="quantized"`` (the default) reproduces the seed wattmeter's
-left-Riemann 1 Hz semantics *exactly*: a segment ``(t0, t1]`` contributes
+``mode="quantized"`` (the default) reproduces a 1 Hz wattmeter's
+left-Riemann semantics *exactly*: a segment ``(t0, t1]`` contributes
 ``watts × sample_period`` for every sampling instant ``t`` with
 ``t0 < t <= t1`` (the instant at a transition time reads the power in
-effect *before* the transition, exactly like ``Wattmeter.advance_to``
-called at the top of an event handler).  Tick counts come from floor
-arithmetic — O(1) per segment — so the per-figure numbers match the
-polling path bit-for-bit whenever the sample period is exactly
-representable in binary floating point (integers and dyadic rationals
-such as 0.5; the experiments use 1 s, 5 s and 10 s).
+effect *before* the transition, like a meter read just before the event
+that changes the power).  Tick counts come from floor arithmetic — O(1)
+per segment — so the figures match a polling wattmeter bit-for-bit
+whenever the sample period is exactly representable in binary floating
+point (integers and dyadic rationals such as 0.5; the experiments use
+1 s, 5 s and 10 s).  The polling wattmeter itself lives in the test suite
+(``tests/polling_oracle.py``) as the reference this mode is checked
+against.
 
 ``mode="exact"`` integrates analytically: a segment contributes
 ``watts × (t1 - t0)``.  This is the physically exact energy of the
@@ -40,18 +42,16 @@ piecewise-constant power model; trace queries (``power_trace``,
 ``samples``, ``mean_power``) still render on the sampling grid so figures
 remain drawable.
 
-One deliberate fidelity improvement over the seed: the polling wattmeter
-only observed power at the instants the driver advanced it, so a
-provisioning transition (boot completion, power-off) that fired *between*
-two driver events was attributed to the wrong instants.  The accountant
-is told about every transition by the node itself, so ticks are always
-attributed to the power actually in effect.
+The accountant is told about every transition by the node itself, so a
+provisioning transition (boot completion, power-off) that fires between
+two scheduling events is attributed to the power actually in effect.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -59,40 +59,21 @@ from repro.util.validation import ensure_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.infrastructure.node import Node
-    from repro.infrastructure.wattmeter import PowerSample
 
 #: Valid integration modes of :class:`SegmentEnergyLog` / :class:`EnergyAccountant`.
-#: (The driver-level ``energy_mode`` adds ``"polling"`` and ``"off"`` on top —
+#: (The driver-level ``energy_mode`` adds ``"off"`` on top —
 #: see :data:`repro.middleware.driver.ENERGY_MODES`.)
 SEGMENT_MODES = ("quantized", "exact")
 
 
-class EnergyReadout(Protocol):
-    """The energy-log query surface metrics and figures consume.
+@dataclass(frozen=True, slots=True)
+class PowerSample:
+    """One power reading: ``node`` drew ``watts`` at simulated ``time``."""
 
-    Both the segment-based :class:`SegmentEnergyLog` and the legacy polling
-    :class:`~repro.infrastructure.wattmeter.EnergyLog` satisfy this.
-    """
-
-    sample_period: float
-
-    @property
-    def total_energy(self) -> float: ...
-
-    def energy_of_node(self, node: str) -> float: ...
-
-    def energy_by_node(self) -> Mapping[str, float]: ...
-
-    def energy_of_cluster(self, cluster: str) -> float: ...
-
-    def energy_by_cluster(self) -> Mapping[str, float]: ...
-
-    def power_trace(self, node: str | None = None) -> np.ndarray: ...
-
-    def mean_power(self, node: str) -> float: ...
-
-    @property
-    def samples(self) -> Sequence["PowerSample"]: ...
+    time: float
+    node: str
+    cluster: str
+    watts: float
 
 
 class PowerSegment:
@@ -128,7 +109,7 @@ class PowerSegment:
 
 
 class SegmentEnergyLog:
-    """Per-node power segments with the polling ``EnergyLog`` query surface.
+    """Per-node power segments, queried as energies or sampled traces.
 
     Segments are appended through :meth:`add_segment` in per-node
     chronological order (adjacent same-power segments are merged in
@@ -307,16 +288,14 @@ class SegmentEnergyLog:
         return float(trace[:, 1].mean())
 
     @property
-    def samples(self) -> Sequence["PowerSample"]:
+    def samples(self) -> Sequence[PowerSample]:
         """The equivalent 1-per-period sample sequence, materialised lazily.
 
-        Ordering matches the polling wattmeter: chronological, nodes in
+        Ordering matches a polling wattmeter: chronological, nodes in
         registration order within one instant.  This allocates
         O(nodes × ticks) objects — use it for figures and tests, not in
         hot paths (that is the whole point of the segment store).
         """
-        from repro.infrastructure.wattmeter import PowerSample
-
         per_node = [
             (name, self._node_clusters[name], self._node_watts(name))
             for name in self._segments
@@ -332,7 +311,7 @@ class SegmentEnergyLog:
 
 
 class EnergyAccountant:
-    """Event-driven replacement for the polling wattmeter.
+    """Event-driven energy meter for a set of nodes.
 
     Subscribes to every node's power-change notification and closes a
     :class:`PowerSegment` per transition, stamped with the simulation

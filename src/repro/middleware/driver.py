@@ -24,18 +24,18 @@ Energy accounting modes
 ``energy_mode`` selects how platform energy is measured:
 
 ``"quantized"`` (default)
-    Segment-based accounting that reproduces the seed wattmeter's 1 Hz
-    left-Riemann figures exactly, in O(state-changes) time and memory.
+    Segment-based accounting that reproduces the paper's 1 Hz wattmeter
+    figures exactly, in O(state-changes) time and memory.
 ``"exact"``
     Analytic integration of the piecewise-constant power (no sampling
     error), also O(state-changes).
-``"polling"``
-    The legacy :class:`~repro.infrastructure.wattmeter.Wattmeter` loop —
-    O(nodes × simulated seconds) — kept as the reference for equivalence
-    tests and ``tools/bench_kernel.py``.
 ``"off"``
-    No platform-level accounting (``enable_wattmeter=False`` is the
-    backward-compatible spelling); metrics fall back to per-task energy.
+    No platform-level accounting; metrics fall back to per-task energy.
+
+Both accounting modes are driven by the nodes' power-change notifications,
+so the driver never advances a meter itself.  The polling wattmeter that
+``"quantized"`` is proven equal to lives in the test suite, driven from
+outside through :meth:`SimulationEngine.step`.
 
 Tracing
 -------
@@ -59,10 +59,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.infrastructure.energy import EnergyAccountant, EnergyReadout
+from repro.infrastructure.energy import EnergyAccountant, SegmentEnergyLog
 from repro.infrastructure.node import NodeState
 from repro.infrastructure.platform import Platform
-from repro.infrastructure.wattmeter import Wattmeter
 from repro.middleware.agents import MasterAgent
 from repro.middleware.client import Client
 from repro.middleware.requests import SchedulingOutcome
@@ -74,7 +73,7 @@ from repro.simulation.trace import ExecutionTrace
 from repro.util import phases
 
 #: Valid values of ``MiddlewareSimulation(energy_mode=...)``.
-ENERGY_MODES = ("quantized", "exact", "polling", "off")
+ENERGY_MODES = ("quantized", "exact", "off")
 
 #: Valid values of ``MiddlewareSimulation(trace_level=...)``.
 TRACE_LEVELS = ("full", "off")
@@ -113,7 +112,6 @@ class MiddlewareSimulation:
         seds: Mapping[str, ServerDaemon],
         *,
         sample_period: float = 1.0,
-        enable_wattmeter: bool = True,
         policy_name: str | None = None,
         energy_mode: str = "quantized",
         trace_level: str = "full",
@@ -127,8 +125,6 @@ class MiddlewareSimulation:
             raise ValueError(
                 f"trace_level must be one of {TRACE_LEVELS}, got {trace_level!r}"
             )
-        if not enable_wattmeter:
-            energy_mode = "off"
         self.platform = platform
         self.master = master
         self.seds = dict(seds)
@@ -150,11 +146,8 @@ class MiddlewareSimulation:
         # ranked estimation-vector tuple), so sweeps drop it too.
         self.client = Client(master, keep_outcomes=self._trace_on)
         self.energy_mode = energy_mode
-        self.wattmeter: Wattmeter | None = None
         self.accountant: EnergyAccountant | None = None
-        if energy_mode == "polling":
-            self.wattmeter = Wattmeter(platform.nodes, sample_period=sample_period)
-        elif energy_mode in ("quantized", "exact"):
+        if energy_mode != "off":
             engine = self.engine
             self.accountant = EnergyAccountant(
                 platform.nodes,
@@ -174,13 +167,9 @@ class MiddlewareSimulation:
         }
 
     @property
-    def energy_log(self) -> EnergyReadout | None:
-        """The active energy log (segment- or sample-based), if any."""
-        if self.accountant is not None:
-            return self.accountant.log
-        if self.wattmeter is not None:
-            return self.wattmeter.log
-        return None
+    def energy_log(self) -> SegmentEnergyLog | None:
+        """The accountant's energy log, or ``None`` with ``energy_mode="off"``."""
+        return self.accountant.log if self.accountant is not None else None
 
     # -- workload submission -------------------------------------------------------
     def submit_workload(self, tasks: Sequence[Task]) -> None:
@@ -234,14 +223,7 @@ class MiddlewareSimulation:
         return self._handle_arrival(task)
 
     # -- event handlers ----------------------------------------------------------------
-    def _sample_power(self) -> None:
-        # Only the legacy polling mode needs explicit advancing; the
-        # segment accountant is notified by the nodes themselves.
-        if self.wattmeter is not None:
-            self.wattmeter.advance_to(self.engine.now)
-
     def _handle_arrival(self, task: Task) -> SchedulingOutcome:
-        self._sample_power()
         now = self.engine.now
         self._submitted += 1
         task.state = TaskState.SUBMITTED
@@ -325,7 +307,6 @@ class MiddlewareSimulation:
         node_power: float,
         attributed_power: float,
     ) -> None:
-        self._sample_power()
         now = self.engine.now
         node = sed.node
         duration = now - started_at
@@ -382,7 +363,6 @@ class MiddlewareSimulation:
         node = self.platform.node(name)
         if node.state is NodeState.FAILED:
             return 0
-        self._sample_power()
         now = self.engine.now
         sed = self.seds.get(name)
         displaced: list[Task] = []
@@ -415,7 +395,6 @@ class MiddlewareSimulation:
         node = self.platform.node(name)
         if node.state is not NodeState.FAILED:
             return
-        self._sample_power()
         node.repair()
         if self._trace_on:
             self.trace.record(self.engine.now, ExecutionTrace.NODE_RECOVERED, node=name)
@@ -492,7 +471,6 @@ class MiddlewareSimulation:
         finally:
             if timer is not None:
                 timer.pop()
-        self._sample_power()
         if self.accountant is not None and not self.accountant.closed:
             self.accountant.sync(self.engine.now)
         energy_log = self.energy_log

@@ -3,9 +3,8 @@
 Table II reports makespan (s) and energy (J) per scheduling policy;
 Figures 2–4 report the number of tasks executed per node; Figure 5 the
 energy per cluster.  :class:`MetricsCollector` derives all of these from
-the execution records and the platform energy log — any implementation of
-the :class:`~repro.infrastructure.energy.EnergyReadout` surface (the
-segment-based accountant log or the legacy polling wattmeter log).
+the execution records and the platform energy log
+(:class:`~repro.infrastructure.energy.SegmentEnergyLog`).
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.infrastructure.energy import EnergyReadout
+from repro.infrastructure.energy import SegmentEnergyLog
 from repro.simulation.task import TaskExecution
 
 
@@ -31,7 +30,7 @@ class ExperimentMetrics:
     makespan:
         Time between the first submission and the last completion (s).
     total_energy:
-        Integrated platform energy over the run (J), from the wattmeter.
+        Integrated platform energy over the run (J), from the energy log.
     task_count:
         Number of completed tasks.
     tasks_per_node:
@@ -132,7 +131,7 @@ class MetricsCollector:
         return np.array([e.queue_delay for e in self._executions], dtype=float)
 
     # -- summary ----------------------------------------------------------------------
-    def summarize(self, energy_log: EnergyReadout | None = None) -> ExperimentMetrics:
+    def summarize(self, energy_log: SegmentEnergyLog | None = None) -> ExperimentMetrics:
         """Build the experiment summary, pulling energy from ``energy_log``.
 
         Without an energy log, energy figures fall back to the sum of the

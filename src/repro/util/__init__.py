@@ -1,6 +1,5 @@
-"""Shared utilities: locking, XML provisioning plans, statistics, validation."""
+"""Shared utilities: XML provisioning plans, statistics, validation."""
 
-from repro.util.rwlock import ReadersWriterLock
 from repro.util.stats import RunningStats, WindowedAverage
 from repro.util.validation import (
     ensure_in_range,
@@ -10,7 +9,6 @@ from repro.util.validation import (
 from repro.util.xmlplan import PlanningEntry, read_planning, write_planning
 
 __all__ = [
-    "ReadersWriterLock",
     "RunningStats",
     "WindowedAverage",
     "ensure_in_range",

@@ -9,19 +9,28 @@ whose entries look like::
       <electricity_cost>0.6</electricity_cost>
     </timestamp>
 
-Reads and writes are guarded by a readers–writer lock
-(:class:`repro.util.rwlock.ReadersWriterLock`) supplied by the caller so
-that monitoring threads and the scheduler can share the file safely.
+The paper guards this file with a readers–writer lock because DIET's
+agents are threads sharing it; this program has no such threads, so
+:func:`write_planning` instead replaces the file atomically and a reader
+in any process sees either the old planning or the new one, never a mix.
+
+>>> import pathlib, tempfile
+>>> with tempfile.TemporaryDirectory() as tmp:
+...     path = pathlib.Path(tmp) / "plan.xml"
+...     write_planning(path, [PlanningEntry(600.0, 24.0, 8, 0.6),
+...                           PlanningEntry(0.0, 21.5, 4, 1.0)])
+...     [(e.timestamp, e.candidates) for e in read_planning(path)]
+[(0.0, 4), (600.0, 8)]
 """
 
 from __future__ import annotations
 
+import math
+import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
-
-from repro.util.rwlock import ReadersWriterLock
 
 
 @dataclass(frozen=True, order=True)
@@ -49,76 +58,78 @@ class PlanningEntry:
 
     @classmethod
     def from_element(cls, element: ET.Element) -> "PlanningEntry":
-        """Parse a ``<timestamp>`` element back into an entry."""
+        """Parse a ``<timestamp>`` element back into an entry.
+
+        Raises ``ValueError`` naming the offending field when a value is
+        missing, not a finite number, a negative or fractional candidate
+        count, or an electricity cost outside ``[0, 1]``.
+        """
         if element.tag != "timestamp":
             raise ValueError(f"expected <timestamp> element, got <{element.tag}>")
-        try:
-            timestamp = float(element.attrib["value"])
-            temperature = float(_child_text(element, "temperature"))
-            candidates = int(float(_child_text(element, "candidates")))
-            cost = float(_child_text(element, "electricity_cost"))
-        except KeyError as exc:
-            raise ValueError(f"malformed planning entry: missing {exc}") from exc
+        timestamp = _finite(element.attrib.get("value"), "timestamp value")
+        temperature = _finite(element.findtext("temperature"), "temperature")
+        candidates = _finite(element.findtext("candidates"), "candidates")
+        if candidates < 0 or not candidates.is_integer():
+            raise ValueError(
+                f"<candidates> must be a non-negative integer, got {candidates!r}"
+            )
+        cost = _finite(element.findtext("electricity_cost"), "electricity_cost")
+        if not 0.0 <= cost <= 1.0:
+            raise ValueError(f"<electricity_cost> must lie in [0, 1], got {cost!r}")
         return cls(
             timestamp=timestamp,
             temperature=temperature,
-            candidates=candidates,
+            candidates=int(candidates),
             electricity_cost=cost,
         )
 
 
-def _child_text(element: ET.Element, tag: str) -> str:
-    child = element.find(tag)
-    if child is None or child.text is None:
-        raise KeyError(tag)
-    return child.text
+def _finite(text: str | None, field: str) -> float:
+    if text is None:
+        raise ValueError(f"malformed planning entry: missing <{field}>")
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"<{field}> is not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"<{field}> must be finite, got {text!r}")
+    return value
 
 
-def write_planning(
-    path: str | Path,
-    entries: Iterable[PlanningEntry],
-    *,
-    lock: ReadersWriterLock | None = None,
-) -> None:
+def write_planning(path: str | Path, entries: Iterable[PlanningEntry]) -> None:
     """Write ``entries`` to ``path`` as a provisioning-planning XML file.
 
     Entries are written sorted by timestamp so readers can scan forward.
+    The document goes to a sibling temporary file that then replaces
+    ``path`` in one ``os.replace``, so readers never see a partial file.
     """
-    entries = sorted(entries)
     root = ET.Element("provisioning_planning")
-    for entry in entries:
+    for entry in sorted(entries):
         root.append(entry.to_element())
-    payload = ET.tostring(root, encoding="unicode")
-
-    def _write() -> None:
-        Path(path).write_text(payload, encoding="utf-8")
-
-    if lock is None:
-        _write()
-    else:
-        with lock.write_locked():
-            _write()
+    path = Path(path)
+    staging = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        staging.write_text(ET.tostring(root, encoding="unicode"), encoding="utf-8")
+        os.replace(staging, path)
+    finally:
+        staging.unlink(missing_ok=True)
 
 
-def read_planning(
-    path: str | Path,
-    *,
-    lock: ReadersWriterLock | None = None,
-) -> Sequence[PlanningEntry]:
-    """Read a provisioning-planning XML file written by :func:`write_planning`."""
+def read_planning(path: str | Path) -> Sequence[PlanningEntry]:
+    """Read a provisioning-planning XML file written by :func:`write_planning`.
 
-    def _read() -> str:
-        return Path(path).read_text(encoding="utf-8")
-
-    if lock is None:
-        text = _read()
-    else:
-        with lock.read_locked():
-            text = _read()
-
-    root = ET.fromstring(text)
-    if root.tag != "provisioning_planning":
-        raise ValueError(
-            f"expected <provisioning_planning> root element, got <{root.tag}>"
-        )
-    return tuple(PlanningEntry.from_element(child) for child in root)
+    Any malformed content raises ``ValueError`` naming ``path`` and, for a
+    bad entry, the offending field.
+    """
+    try:
+        root = ET.fromstring(Path(path).read_text(encoding="utf-8"))
+    except ET.ParseError as exc:
+        raise ValueError(f"planning file {path} is not well-formed XML: {exc}") from exc
+    try:
+        if root.tag != "provisioning_planning":
+            raise ValueError(
+                f"expected <provisioning_planning> root element, got <{root.tag}>"
+            )
+        return tuple(PlanningEntry.from_element(child) for child in root)
+    except ValueError as exc:
+        raise ValueError(f"planning file {path}: {exc}") from exc

@@ -1,12 +1,13 @@
 """Tests for the event-driven energy accounting (segments + accountant).
 
-The quantized mode's contract is *tick-exact equivalence* with the seed
+The quantized mode's contract is *tick-exact equivalence* with the
 polling wattmeter: a segment ``(t0, t1]`` owns exactly the sampling
 instants the wattmeter would have attributed to that power level.  The
 tick-arithmetic tests below pin the boundary behaviour (instant at a
 transition reads the *old* power, the ``t = 0`` instant belongs to the
 first segment, sub-period segments accumulate) against hand-computed
-values and against a reference :class:`Wattmeter` run.
+values and against a reference :class:`Wattmeter` run (the oracle in
+``tests/polling_oracle.py``).
 """
 
 import pytest
@@ -17,8 +18,8 @@ from repro.infrastructure.energy import (
     SegmentEnergyLog,
 )
 from repro.infrastructure.node import Node, NodeState
-from repro.infrastructure.wattmeter import Wattmeter
 from tests.conftest import make_spec
+from tests.polling_oracle import Wattmeter
 
 
 def make_node(name="a-0", cluster="a", idle=100.0, peak=200.0, **kwargs):

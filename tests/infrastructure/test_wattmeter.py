@@ -1,10 +1,11 @@
-"""Tests for the wattmeter and energy log."""
+"""Tests for the polling wattmeter and energy log of the test oracle."""
 
 import pytest
 
 from repro.infrastructure.node import Node
-from repro.infrastructure.wattmeter import EnergyLog, PowerSample, Wattmeter
+from repro.infrastructure.energy import PowerSample
 from tests.conftest import make_spec
+from tests.polling_oracle import EnergyLog, Wattmeter
 
 
 def make_nodes():

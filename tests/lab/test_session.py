@@ -75,13 +75,14 @@ class TestValidation:
             session.validate()
 
     def test_unknown_energy_mode_rejected(self):
-        session = LabSession(
-            platform=PlatformSource.table1(1),
-            workload=WorkloadSource.from_generator(_tiny_generator()),
-            energy_mode="nope",
-        )
-        with pytest.raises(LabError, match="energy_mode"):
-            session.validate()
+        for energy_mode in ("nope", "polling"):
+            session = LabSession(
+                platform=PlatformSource.table1(1),
+                workload=WorkloadSource.from_generator(_tiny_generator()),
+                energy_mode=energy_mode,
+            )
+            with pytest.raises(LabError, match="energy_mode"):
+                session.validate()
 
     def test_point_study_rejects_horizon(self):
         session = LabSession(

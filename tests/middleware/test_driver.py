@@ -9,6 +9,7 @@ from repro.middleware.hierarchy import build_hierarchy
 from repro.simulation.task import Task, TaskState
 from repro.simulation.trace import ExecutionTrace
 from repro.workload.generator import BurstThenContinuousWorkload
+from tests.polling_oracle import run_polled
 
 
 def make_simulation(policy=None, nodes_per_cluster=1, **kwargs):
@@ -115,7 +116,7 @@ class TestWorkloadExecution:
         }
 
     def test_wattmeter_can_be_disabled(self):
-        simulation = make_simulation(enable_wattmeter=False)
+        simulation = make_simulation(energy_mode="off")
         simulation.submit_workload([Task(flop=2.3e9)])
         result = simulation.run()
         assert result.energy_by_cluster == {}
@@ -127,7 +128,10 @@ class TestWorkloadExecution:
         """Quantized segments reproduce the polling figures; exact is close."""
         tasks = [Task(flop=2.3e10), Task(flop=1.15e10, arrival_time=3.0)]
         results = {}
-        for mode in ("polling", "quantized", "exact"):
+        polled = make_simulation(energy_mode="off")
+        polled.submit_workload(list(tasks))
+        results["polling"], _ = run_polled(polled)
+        for mode in ("quantized", "exact"):
             simulation = make_simulation(energy_mode=mode)
             simulation.submit_workload(list(tasks))
             results[mode] = simulation.run()
@@ -146,8 +150,9 @@ class TestWorkloadExecution:
         ) <= peak * 6
 
     def test_invalid_energy_mode_and_trace_level_rejected(self):
-        with pytest.raises(ValueError, match="energy_mode"):
-            make_simulation(energy_mode="nope")
+        for mode in ("nope", "polling"):
+            with pytest.raises(ValueError, match="energy_mode"):
+                make_simulation(energy_mode=mode)
         with pytest.raises(ValueError, match="trace_level"):
             make_simulation(trace_level="sometimes")
 

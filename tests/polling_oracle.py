@@ -1,49 +1,37 @@
-"""Wattmeter simulation and energy accounting.
+"""The polling wattmeter: reference oracle for quantized energy accounting.
 
 Grid'5000's Lyon site instruments every node with an external Omegawatt
 wattmeter that reports one power sample per second; the paper averages
 "more than 6,000 measurements" to characterise a node and integrates the
 samples into energy figures (Section IV).  This module reproduces that
-energy-sensing substrate:
+measurement literally:
 
 * :class:`Wattmeter` samples a set of nodes at a fixed period (default
   1 s) when the simulation clock advances, producing per-node power traces.
 * :class:`EnergyLog` holds the resulting samples and integrates them into
   joules, per node, per cluster and for the whole platform.
 
-The simulation engine drives the wattmeter by calling
-:meth:`Wattmeter.advance_to` whenever simulated time moves forward, which
-keeps the sampling independent from the scheduling logic — exactly like an
-external meter.
-
-This polling path is O(nodes × simulated-seconds) and is no longer the
-production accounting: :mod:`repro.infrastructure.energy` integrates the
-same piecewise-constant power in O(state-changes).  The wattmeter is kept
-as the measurement-level *reference* implementation — the equivalence
-property tests and ``tools/bench_kernel.py`` run it side by side with the
-segment accountant (``MiddlewareSimulation(..., energy_mode="polling")``).
+The polling path is O(nodes × simulated-seconds), so the program measures
+energy with :mod:`repro.infrastructure.energy` instead, which integrates
+the same piecewise-constant power in O(state-changes).  The tests compare
+that ``energy_mode="quantized"`` accounting against this wattmeter, which
+:func:`run_polled` drives from outside a simulation: it advances the meter
+to each event's time just before the event fires, so every sample reads
+the power in effect before the event changes it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.infrastructure.energy import PowerSample
 from repro.infrastructure.node import Node
+from repro.middleware.driver import MiddlewareSimulation, SimulationResult
 from repro.util.validation import ensure_non_negative, ensure_positive
-
-
-@dataclass(frozen=True, slots=True)
-class PowerSample:
-    """One power reading: ``node`` drew ``watts`` at simulated ``time``."""
-
-    time: float
-    node: str
-    cluster: str
-    watts: float
 
 
 class EnergyLog:
@@ -200,3 +188,38 @@ class Wattmeter:
             ticks += 1
         self._last_advance = time
         return ticks
+
+
+def run_polled(
+    simulation: MiddlewareSimulation, *, sample_period: float = 1.0
+) -> tuple[SimulationResult, EnergyLog]:
+    """Run ``simulation`` to completion under a polling :class:`Wattmeter`.
+
+    Build ``simulation`` with ``energy_mode="off"``.  The meter advances to
+    each event's firing time just before the event runs, and once more to
+    the final clock after the run.  Returns the run's result with its
+    energy figures taken from the meter, and the meter's log.
+    """
+    engine = simulation.engine
+    meter = Wattmeter(simulation.platform.nodes, sample_period=sample_period)
+    step = engine.step
+
+    def metered_step() -> int:
+        next_time = engine.peek_next_time()
+        if next_time is not None:
+            meter.advance_to(next_time)
+        return step()
+
+    engine.step = metered_step
+    result = simulation.run()
+    meter.advance_to(engine.now)
+    log = meter.log
+    return (
+        replace(
+            result,
+            metrics=simulation.metrics.summarize(log),
+            energy_by_cluster=dict(log.energy_by_cluster()),
+            energy_by_node=dict(log.energy_by_node()),
+        ),
+        log,
+    )

@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from repro.infrastructure.wattmeter import EnergyLog, PowerSample
+from repro.infrastructure.energy import PowerSample
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.task import TaskExecution
+from tests.polling_oracle import EnergyLog
 
 
 def make_execution(task_id=0, node="a-0", cluster="a", submitted=0.0, started=0.0,

@@ -1,10 +1,12 @@
-"""Property tests: segment-based quantized accounting == seed polling wattmeter.
+"""Property tests: segment-based quantized accounting == polling wattmeter.
 
-The headline acceptance criterion of the event-driven refactor is that
-``energy_mode="quantized"`` reproduces the polling wattmeter's figures
-*exactly* — total energy, per-node and per-cluster energy, power traces
-and sample counts — on arbitrary platforms and schedules, while doing
-O(state-changes) work instead of O(nodes × seconds).
+``energy_mode="quantized"`` must reproduce the figures of the polling
+wattmeter oracle (:mod:`tests.polling_oracle`) *exactly* — total energy,
+per-node and per-cluster energy, power traces and sample counts — on
+arbitrary platforms and schedules, while doing O(state-changes) work
+instead of O(nodes × seconds).  The oracle run is the same simulation
+built with ``energy_mode="off"`` and metered from outside by
+:func:`~tests.polling_oracle.run_polled`.
 
 The randomized platforms below use integer idle/peak power, power-of-two
 core counts and power-of-two sample periods, which makes every
@@ -28,6 +30,7 @@ from repro.infrastructure.platform import Platform, grid5000_placement_platform
 from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
 from repro.simulation.task import Task
+from tests.polling_oracle import run_polled
 
 # -- strategies -----------------------------------------------------------------
 
@@ -80,22 +83,31 @@ def build_platform(cluster_rows) -> Platform:
 
 
 def run_simulation(platform, policy_name, rows, *, energy_mode, sample_period):
+    """Run one simulation; return ``(energy log, result)``.
+
+    ``energy_mode="polling"`` runs the oracle: accounting off, a polling
+    wattmeter driven from outside the simulation.
+    """
     kwargs = {"seed": 0} if policy_name == "RANDOM" else {}
     master, seds = build_hierarchy(
         platform, scheduler=policy_by_name(policy_name, **kwargs)
     )
+    polling = energy_mode == "polling"
     simulation = MiddlewareSimulation(
         platform,
         master,
         seds,
         sample_period=sample_period,
-        energy_mode=energy_mode,
+        energy_mode="off" if polling else energy_mode,
     )
     simulation.submit_workload(
         [Task(flop=flop, arrival_time=arrival) for flop, arrival in rows]
     )
+    if polling:
+        result, log = run_polled(simulation, sample_period=sample_period)
+        return log, result
     result = simulation.run()
-    return simulation, result
+    return simulation.energy_log, result
 
 
 def assert_logs_equivalent(platform, polling_log, segment_log):
@@ -127,9 +139,10 @@ class TestQuantizedMatchesPolling:
         period=period_strategy,
     )
     def test_energy_figures_are_identical(self, cluster_rows, rows, policy_name, period):
-        """Quantized segment accounting == seed polling, bit for bit."""
+        """Quantized segment accounting == polling oracle, bit for bit."""
+        platform = build_platform(cluster_rows)
         polled, polled_result = run_simulation(
-            build_platform(cluster_rows), policy_name, rows,
+            platform, policy_name, rows,
             energy_mode="polling", sample_period=period,
         )
         segmented, segmented_result = run_simulation(
@@ -144,9 +157,7 @@ class TestQuantizedMatchesPolling:
         assert dict(segmented_result.energy_by_cluster) == dict(
             polled_result.energy_by_cluster
         )
-        assert_logs_equivalent(
-            polled.platform, polled.energy_log, segmented.energy_log
-        )
+        assert_logs_equivalent(platform, polled, segmented)
 
     @settings(max_examples=25, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -168,7 +179,7 @@ class TestQuantizedMatchesPolling:
         polled_by_node = dict(polled_result.energy_by_node)
         for node, joules in segmented_result.energy_by_node.items():
             assert joules == pytest.approx(polled_by_node[node], rel=1e-9, abs=1e-6)
-        assert len(segmented.energy_log.samples) == len(polled.energy_log.samples)
+        assert len(segmented.samples) == len(polled.samples)
 
     @settings(max_examples=25, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])

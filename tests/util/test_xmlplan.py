@@ -5,7 +5,6 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.rwlock import ReadersWriterLock
 from repro.util.xmlplan import PlanningEntry, read_planning, write_planning
 
 
@@ -16,6 +15,13 @@ def make_entry(timestamp=1385896446.0, temperature=23.5, candidates=8, cost=0.6)
         candidates=candidates,
         electricity_cost=cost,
     )
+
+
+ENTRY = (
+    "<provisioning_planning><timestamp value=\"{ts}\">"
+    "<temperature>{temp}</temperature><candidates>{cand}</candidates>"
+    "<electricity_cost>{cost}</electricity_cost></timestamp></provisioning_planning>"
+)
 
 
 class TestPlanningEntry:
@@ -58,15 +64,13 @@ class TestFileRoundTrip:
         loaded = read_planning(path)
         assert [e.timestamp for e in loaded] == [10.0, 20.0, 30.0]
 
-    def test_write_read_with_lock(self, tmp_path):
+    def test_write_replaces_atomically(self, tmp_path):
         path = tmp_path / "plan.xml"
-        lock = ReadersWriterLock()
-        entries = [make_entry()]
-        write_planning(path, entries, lock=lock)
-        loaded = read_planning(path, lock=lock)
-        assert loaded == tuple(entries)
-        assert lock.active_readers == 0
-        assert not lock.writer_active
+        write_planning(path, [make_entry(timestamp=1.0)])
+        write_planning(path, [make_entry(timestamp=2.0)])
+        assert [e.timestamp for e in read_planning(path)] == [2.0]
+        # The staging file is renamed over the target, never left behind.
+        assert [p.name for p in tmp_path.iterdir()] == ["plan.xml"]
 
     def test_empty_planning(self, tmp_path):
         path = tmp_path / "plan.xml"
@@ -78,6 +82,38 @@ class TestFileRoundTrip:
         path.write_text("<something/>", encoding="utf-8")
         with pytest.raises(ValueError):
             read_planning(path)
+
+    @pytest.mark.parametrize(
+        ("document", "field"),
+        [
+            (ENTRY.format(ts="0", temp="abc", cand="8", cost="0.6"), "temperature"),
+            (ENTRY.format(ts="nan", temp="20", cand="8", cost="0.6"), "timestamp"),
+            (ENTRY.format(ts="inf", temp="20", cand="8", cost="0.6"), "timestamp"),
+            (ENTRY.format(ts="0", temp="20", cand="-3", cost="0.6"), "candidates"),
+            (ENTRY.format(ts="0", temp="20", cand="2.5", cost="0.6"), "candidates"),
+            (ENTRY.format(ts="0", temp="20", cand="8", cost="7"), "electricity_cost"),
+            (ENTRY.format(ts="0", temp="20", cand="8", cost="-0.1"), "electricity_cost"),
+            (ENTRY.format(ts="0", temp="20", cand="8", cost="0.6")[:-30], "well-formed"),
+        ],
+        ids=[
+            "non-numeric-temperature",
+            "nan-timestamp",
+            "infinite-timestamp",
+            "negative-candidates",
+            "fractional-candidates",
+            "cost-above-one",
+            "cost-below-zero",
+            "truncated-file",
+        ],
+    )
+    def test_read_rejects_bad_input_naming_path_and_field(
+        self, tmp_path, document, field
+    ):
+        path = tmp_path / "bad.xml"
+        path.write_text(document, encoding="utf-8")
+        with pytest.raises(ValueError, match=field) as excinfo:
+            read_planning(path)
+        assert str(path) in str(excinfo.value)
 
     @given(
         rows=st.lists(
