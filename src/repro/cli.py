@@ -34,10 +34,10 @@ base random seed of any stochastic component.
 
 ``repro sweep`` runs a named scenario grid through the sweep runner:
 ``--jobs`` fans scenarios out over worker processes, ``--store`` caches
-results — in a single JSONL file (``results.jsonl``) or, for any other
-path, a crash-safe sharded store *directory* (per-hash-prefix shard
-files; see ``docs/ARCHITECTURE.md``) — so a second run over the same
-grid is served entirely from cache; ``--force`` bypasses the cache,
+results in a crash-safe sharded store *directory* (per-hash-prefix
+shard files; a legacy single-file store at the path migrates on open;
+see ``docs/ARCHITECTURE.md``), so a second run over the same grid is
+served entirely from cache; ``--force`` bypasses the cache,
 ``--filter`` restricts the grid to scenarios whose id contains a
 substring, and ``--profile`` appends a per-scenario wall-time /
 events-per-second table.  ``--workers-dir DIR`` turns the invocation
@@ -47,8 +47,9 @@ work shards via lock files in DIR, execute them against the shared
 and each exits with the identical grid-order summary.
 
 ``repro store`` maintains result stores: ``verify`` parses every record
-(exit 2 on corruption, reporting quarantined torn tails), ``migrate``
-shards a legacy single-file store in place.
+(exit 2 on corruption, reporting quarantined torn tails) without
+changing a store's layout, ``migrate`` shards a legacy single-file store
+in place; both complete an interrupted migration.
 ``repro sweep --trace FILE`` replaces the named grid with a
 platforms × policies grid replaying a trace (the trace content hash
 keys the store, so edits invalidate exactly the affected entries).
@@ -297,25 +298,32 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 def _cmd_store_verify(args: argparse.Namespace) -> str:
     import warnings
 
-    from repro.runner.store import ShardedResultStore, open_store
+    from repro.runner.store import (
+        ShardedResultStore,
+        _count_quarantined,
+        _quarantine_path,
+        _read_store_file,
+    )
 
     path = Path(args.path)
-    if not path.exists():
-        raise ValueError(f"{path}: no store file or directory")
-    store = open_store(path)
     with warnings.catch_warnings(record=True) as repaired:
         warnings.simplefilter("always")
-        store.load()
-        count = len(store)  # forces a full parse of every shard
-    lines = [f"{path}: store ok — {count} record(s)"]
-    if isinstance(store, ShardedResultStore):
-        lines.append(
-            f"layout: sharded, {len(store.shard_files())} shard file(s) of "
-            f"{store.shard_count} addressable (prefix_len {store.prefix_len})"
-        )
-    else:
-        lines.append("layout: single-file JSONL")
-    lines.append(f"quarantined: {store.quarantined()}")
+        if path.is_file():
+            # Verifying never changes a store's layout: a legacy file is
+            # parsed in place, not migrated.
+            records: dict = {}
+            _read_store_file(path, records)
+            count = len(records)
+            layout = "layout: single-file JSONL"
+            quarantined = _count_quarantined(_quarantine_path(path))
+        else:
+            store = ShardedResultStore(path).load()  # completes a migration
+            if not path.is_dir():
+                raise ValueError(f"{path}: no store file or directory")
+            count = len(store)  # forces a full parse of every shard
+            layout = f"layout: sharded, {len(store.shard_files())} shard file(s)"
+            quarantined = store.quarantined()
+    lines = [f"{path}: store ok — {count} record(s)", layout, f"quarantined: {quarantined}"]
     if repaired:
         lines.append(f"torn tails repaired on this open: {len(repaired)}")
     return "\n".join(lines)
@@ -327,12 +335,11 @@ def _cmd_store_migrate(args: argparse.Namespace) -> str:
     path = Path(args.path)
     if path.is_dir():
         return f"{path}: already a sharded store directory"
-    if not path.is_file():
+    store = ShardedResultStore(path).load()  # also completes a migration
+    if not path.is_dir():
         raise ValueError(f"{path}: no single-file store to migrate")
-    store = ShardedResultStore(path, prefix_len=args.prefix_len).load()
     return (
-        f"migrated {path} -> sharded store directory "
-        f"({len(store)} record(s), {store.shard_count} addressable shards; "
+        f"migrated {path} -> sharded store directory ({len(store)} record(s); "
         f"original kept as {path.name}.pre-shard.bak)"
     )
 
@@ -764,9 +771,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         metavar="PATH",
-        help="result store; already-stored scenarios are not re-simulated "
-        "(a .jsonl path keeps the single-file layout, any other path "
-        "opens a crash-safe sharded store directory)",
+        help="result store directory; already-stored scenarios are not "
+        "re-simulated (a legacy single-file store at PATH is migrated to a "
+        "directory on open)",
     )
     sweep.add_argument(
         "--workers-dir",
@@ -812,10 +819,11 @@ def build_parser() -> argparse.ArgumentParser:
     store_verify = store_sub.add_parser(
         "verify",
         help="parse every record of a store (exit 2 on corruption)",
-        description="Load a result store — single-file JSONL or a sharded "
-        "store directory — parsing every record.  Corrupt interior lines "
-        "exit 2; torn tails left by crashed appends are quarantined and "
-        "reported.",
+        description="Load a result store directory, parsing every record.  "
+        "A legacy single-file store is parsed in place, not migrated; an "
+        "interrupted migration is completed.  Corrupt interior lines and "
+        "malformed store.json metadata exit 2; torn tails left by crashed "
+        "appends are quarantined and reported.",
     )
     store_verify.add_argument("path", help="store file or directory")
     store_verify.set_defaults(handler=_cmd_store_verify)
@@ -823,17 +831,11 @@ def build_parser() -> argparse.ArgumentParser:
         "migrate",
         help="shard a legacy single-file store in place",
         description="Migrate a single-file JSONL store to the sharded "
-        "directory layout (per-hash-prefix shard files).  The original "
-        "file is kept beside the new directory as <name>.pre-shard.bak.",
+        "directory layout (per-hash-prefix shard files), or complete an "
+        "interrupted migration.  The original file is kept beside the new "
+        "directory as <name>.pre-shard.bak.",
     )
     store_migrate.add_argument("path", help="single-file store to migrate")
-    store_migrate.add_argument(
-        "--prefix-len",
-        type=int,
-        default=1,
-        help="hex digits of the scenario hash naming a shard "
-        "(default: 1 = 16 shards)",
-    )
     store_migrate.set_defaults(handler=_cmd_store_migrate)
 
     lab = subparsers.add_parser(

@@ -323,7 +323,7 @@ def run_heterogeneity_experiment(
     RANDOM area computed over ``random_seeds``.  The grid executes through
     the sweep runner: ``jobs`` fans the scenarios out over worker
     processes and ``store`` (a path or
-    :class:`~repro.runner.store.ResultStore`) makes re-runs incremental.
+    :class:`~repro.runner.store.ShardedResultStore`) makes re-runs incremental.
     """
     point_sweep, random_sweep = heterogeneity_sweeps(
         kinds,

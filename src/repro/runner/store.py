@@ -1,18 +1,15 @@
-"""Cached scenario results: crash-safe JSONL stores and their aggregation.
+"""Cached scenario results: a crash-safe sharded JSONL store and aggregation.
 
-Two store layouts share one record format (one JSON object per line,
-keyed by the scenario content hash of
-:meth:`repro.runner.spec.ScenarioSpec.content_hash`):
+Results live in one store *directory* of per-shard JSONL files
+(:class:`ShardedResultStore`): one JSON object per line, keyed by the
+scenario content hash of
+:meth:`repro.runner.spec.ScenarioSpec.content_hash`, with the shard named
+by the hash prefix.  Shards load lazily (a cache lookup reads one shard,
+not the whole store), so 100k-scenario sweeps shared by many workers stay
+cheap to consult.  A legacy single JSONL file at the store path migrates
+to the directory layout on open.
 
-* :class:`ResultStore` — the original single-file JSONL store; still the
-  right choice for small grids and the format every record tool reads.
-* :class:`ShardedResultStore` — a store *directory* of per-shard JSONL
-  files keyed by hash prefix, built for 100k-scenario sweeps shared by
-  many workers: shards load lazily (a cache lookup reads one shard, not
-  the whole store), and a legacy single-file store migrates to the
-  sharded layout automatically on open.
-
-Both layouts make the resumability promise real under crashes and
+The store makes the resumability promise real under crashes and
 concurrency:
 
 * every record is appended as a **single ``O_APPEND`` write** under an
@@ -20,7 +17,7 @@ concurrency:
   worker processes — on one host or across hosts on a shared
   filesystem — never interleave bytes;
 * a **torn final line** left by a crashed append is tolerated on the
-  next open: the partial bytes are moved to a ``*.quarantine`` sidecar
+  next read: the partial bytes are moved to a ``*.quarantine`` sidecar
   (with a warning) and the file is truncated back to the last complete
   record, so whatever completed stays loadable and the next append
   starts on a clean line;
@@ -42,7 +39,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -242,84 +239,15 @@ def _read_store_file(
         os.close(fd)
 
 
-# -- the single-file store --------------------------------------------------------------
+# -- the store directory ----------------------------------------------------------------
 
-
-class ResultStore:
-    """Single-file JSONL result store keyed by scenario content hash.
-
-    Records are appended as they complete; on load, the *last* record of a
-    hash wins, so force-rerunning a scenario simply appends a fresher line.
-    Appends are single ``O_APPEND`` writes under ``fcntl.flock``, and a
-    torn final line left by a crashed append is quarantined on the next
-    open (see the module docstring) — the store survives any crash of any
-    writer with at most the in-flight record lost.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self._path = Path(path)
-        self._records: dict[str, Mapping[str, object]] = {}
-        self._loaded = False
-
-    @property
-    def path(self) -> Path:
-        """Location of the backing JSONL file."""
-        return self._path
-
-    def load(self) -> "ResultStore":
-        """Read the backing file (once); missing file means an empty store."""
-        if self._loaded:
-            return self
-        self._loaded = True
-        _read_store_file(self._path, self._records)
-        return self
-
-    def refresh(self) -> "ResultStore":
-        """Drop the in-memory index and re-read the file (other writers!)."""
-        self._records.clear()
-        self._loaded = False
-        return self.load()
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, scenario_hash: str) -> bool:
-        return scenario_hash in self._records
-
-    def get(self, scenario_hash: str, *, cached: bool = True) -> ScenarioResult | None:
-        """The stored result of one scenario hash, or ``None``."""
-        record = self._records.get(scenario_hash)
-        if record is None:
-            return None
-        return ScenarioResult.from_record(record, cached=cached)
-
-    def put(self, result: ScenarioResult) -> None:
-        """Append one result to the file and the in-memory index."""
-        record = result.to_record()
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        _locked_append(self._path, _encode_record(record))
-        self._records[str(record["hash"])] = record
-
-    def results(self) -> tuple[ScenarioResult, ...]:
-        """All stored results, ordered by scenario id for determinism."""
-        loaded = [
-            ScenarioResult.from_record(record, cached=True)
-            for record in self._records.values()
-        ]
-        loaded.sort(key=lambda result: result.spec.scenario_id)
-        return tuple(loaded)
-
-    def quarantined(self) -> int:
-        """Number of torn records quarantined beside this store."""
-        return _count_quarantined(_quarantine_path(self._path))
-
-
-# -- the sharded store directory --------------------------------------------------------
-
-#: Name of the layout descriptor inside a sharded store directory.
+#: Name of the layout descriptor inside a store directory.
 STORE_META_NAME = "store.json"
 
-#: The sharded layout version written into :data:`STORE_META_NAME`.
+#: The ``format`` tag written into :data:`STORE_META_NAME`.
+STORE_FORMAT = "sharded-jsonl"
+
+#: The store layout version written into :data:`STORE_META_NAME`.
 STORE_FORMAT_VERSION = 1
 
 
@@ -333,12 +261,13 @@ def _count_quarantined(sidecar: Path) -> int:
 class ShardedResultStore:
     """A store *directory* of per-shard JSONL files keyed by hash prefix.
 
-    The first ``prefix_len`` hex digits of the scenario hash name the
-    shard (``prefix_len=1`` ⇒ 16 shards ``shard-0.jsonl`` …
-    ``shard-f.jsonl``).  Shards load lazily: a cache lookup reads only
-    the shard its hash lands in, so consulting a 100k-record store for
-    one scenario stays O(store/shards), and N workers appending to a
-    shared directory contend per shard, not per store.
+    The first hex digit of the scenario hash names the shard (16 shards
+    ``shard-0.jsonl`` … ``shard-f.jsonl``).  Shards load lazily: a cache
+    lookup reads only the shard its hash lands in, so consulting a
+    100k-record store for one scenario stays O(store/shards), and N
+    workers appending to a shared directory contend per shard, not per
+    store.  Records are appended as they complete; the *last* record of a
+    hash wins, so force-rerunning a scenario simply appends a fresher line.
 
     Layout (self-describing via ``store.json``)::
 
@@ -349,17 +278,30 @@ class ShardedResultStore:
           shard-f.jsonl
           shard-3.jsonl.quarantine   ← torn tails, when a writer crashed
 
+    Reopening adopts the ``prefix_len`` recorded in ``store.json`` (1 to
+    4 hex digits), so stores written with longer prefixes keep working.
     Opening a path that holds a legacy **single-file** store migrates it
     in place (original preserved as ``<name>.pre-shard.bak``), so old
-    ``--store results.jsonl`` files keep working when pointed at by the
-    sharded machinery.
+    ``--store results.jsonl`` files keep serving their results.
+
+    >>> import tempfile
+    >>> from repro.runner.spec import ScenarioSpec
+    >>> result = ScenarioResult(ScenarioSpec(policy="POWER"), {"makespan": 2.0})
+    >>> with tempfile.TemporaryDirectory() as tmp:
+    ...     ShardedResultStore(Path(tmp) / "results").load().put(result)
+    ...     reopened = ShardedResultStore(Path(tmp) / "results").load()
+    ...     reopened.get(result.scenario_hash).metrics
+    {'makespan': 2.0}
+    >>> with tempfile.TemporaryDirectory() as tmp:  # a legacy single-file store
+    ...     legacy = Path(tmp) / "old.jsonl"
+    ...     _ = legacy.write_text(json.dumps(result.to_record()) + "\\n")
+    ...     len(ShardedResultStore(legacy).load()), legacy.is_dir()
+    (1, True)
     """
 
-    def __init__(self, root: str | Path, *, prefix_len: int = 1) -> None:
-        if not 1 <= int(prefix_len) <= 4:
-            raise ValueError(f"prefix_len must be in [1, 4], got {prefix_len}")
+    def __init__(self, root: str | Path) -> None:
         self._root = Path(root)
-        self._prefix_len = int(prefix_len)
+        self._prefix_len = 1
         self._shards: dict[str, dict[str, Mapping[str, object]]] = {}
         self._opened = False
 
@@ -367,16 +309,6 @@ class ShardedResultStore:
     def path(self) -> Path:
         """Location of the store directory."""
         return self._root
-
-    @property
-    def prefix_len(self) -> int:
-        """Hex digits of the scenario hash that name a shard."""
-        return self._prefix_len
-
-    @property
-    def shard_count(self) -> int:
-        """Number of shards the layout addresses (16 ** prefix_len)."""
-        return 16 ** self._prefix_len
 
     # -- layout -------------------------------------------------------------------------
 
@@ -396,23 +328,39 @@ class ShardedResultStore:
             return ()
         return tuple(sorted(self._root.glob("shard-*.jsonl")))
 
-    def _write_meta(self) -> None:
+    def _write_meta(self, directory: Path) -> None:
         meta = {
-            "format": "sharded-jsonl",
+            "format": STORE_FORMAT,
             "version": STORE_FORMAT_VERSION,
             "prefix_len": self._prefix_len,
         }
-        self._meta_path().write_text(json.dumps(meta, sort_keys=True) + "\n", "utf-8")
+        (directory / STORE_META_NAME).write_text(
+            json.dumps(meta, sort_keys=True) + "\n", "utf-8"
+        )
 
     def _read_meta(self) -> None:
+        """Adopt the layout of ``store.json``; reject anything malformed."""
         meta_path = self._meta_path()
         if not meta_path.exists():
             return
         try:
             meta = json.loads(meta_path.read_text("utf-8"))
-            prefix_len = int(meta["prefix_len"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
+        except (json.JSONDecodeError, UnicodeDecodeError) as error:
             raise ValueError(f"{meta_path}: corrupt store metadata ({error})") from None
+        if not isinstance(meta, dict):
+            raise ValueError(f"{meta_path}: corrupt store metadata (not an object)")
+        version, prefix_len = meta.get("version"), meta.get("prefix_len")
+        # ``type(...) is int`` keeps JSON ``true`` from passing as 1.
+        for name, valid, expected in (
+            ("format", meta.get("format") == STORE_FORMAT, repr(STORE_FORMAT)),
+            ("version", type(version) is int and version == STORE_FORMAT_VERSION, "1"),
+            ("prefix_len", type(prefix_len) is int and 1 <= prefix_len <= 4, "an int in [1, 4]"),
+        ):
+            if not valid:
+                got = repr(meta[name]) if name in meta else "nothing"
+                raise ValueError(
+                    f"{meta_path}: store metadata field {name!r} must be {expected}, got {got}"
+                )
         self._prefix_len = prefix_len
 
     # -- open / migrate -----------------------------------------------------------------
@@ -420,9 +368,10 @@ class ShardedResultStore:
     def load(self) -> "ShardedResultStore":
         """Open the store: adopt the on-disk layout, migrating if needed.
 
-        Shard *contents* are not read here — they load lazily per lookup.
-        A legacy single JSONL file at the store path is migrated to the
-        sharded layout; an interrupted earlier migration is completed.
+        Shard *contents* are not read here — they load lazily per lookup;
+        a missing path is an empty store.  A legacy single JSONL file at
+        the store path is migrated to the directory layout; an
+        interrupted earlier migration is completed.
         """
         if self._opened:
             return self
@@ -469,11 +418,6 @@ class ShardedResultStore:
                     stale.unlink()
                 staging.rmdir()
             staging.mkdir(parents=True)
-            meta = {
-                "format": "sharded-jsonl",
-                "version": STORE_FORMAT_VERSION,
-                "prefix_len": self._prefix_len,
-            }
             by_shard: dict[str, list[bytes]] = {}
             for digest, record in records.items():
                 by_shard.setdefault(self._shard_key(digest), []).append(
@@ -481,9 +425,7 @@ class ShardedResultStore:
                 )
             for key, lines in sorted(by_shard.items()):
                 (staging / f"shard-{key}.jsonl").write_bytes(b"".join(lines))
-            (staging / STORE_META_NAME).write_text(
-                json.dumps(meta, sort_keys=True) + "\n", "utf-8"
-            )
+            self._write_meta(staging)
             backup = legacy.with_name(legacy.name + ".pre-shard.bak")
             legacy.rename(backup)
             staging.rename(self._root)
@@ -538,7 +480,7 @@ class ShardedResultStore:
         digest = str(record["hash"])
         self._root.mkdir(parents=True, exist_ok=True)
         if not self._meta_path().exists():
-            self._write_meta()
+            self._write_meta(self._root)
         _locked_append(self.shard_path(digest), _encode_record(record))
         key = self._shard_key(digest)
         if key in self._shards:
@@ -563,25 +505,6 @@ class ShardedResultStore:
             _count_quarantined(sidecar)
             for sidecar in sorted(self._root.glob("*.quarantine"))
         )
-
-
-AnyResultStore = Union[ResultStore, ShardedResultStore]
-
-
-def open_store(path: str | Path) -> AnyResultStore:
-    """Open the right store implementation for ``path``.
-
-    An existing directory — or a fresh path without a ``.jsonl`` /
-    ``.json`` suffix — opens as a :class:`ShardedResultStore`; an
-    existing file, or a fresh path that names one, keeps the legacy
-    single-file :class:`ResultStore` readable and writable in place.
-    """
-    path = Path(path)
-    if path.is_dir():
-        return ShardedResultStore(path)
-    if path.is_file() or path.suffix in (".jsonl", ".json"):
-        return ResultStore(path)
-    return ShardedResultStore(path)
 
 
 #: Metrics every experiment family reports, used as the default aggregate.
@@ -653,19 +576,3 @@ def summarize(
         rows.append(row)
     return tuple(rows)
 
-
-def iter_store_records(path: str | Path) -> Iterator[Mapping[str, object]]:
-    """Yield every record of a store (file or directory), last-wins applied.
-
-    The verification primitive behind ``repro store verify``: loading
-    forces a full parse of every shard, so corrupt interior lines raise
-    and torn tails are quarantined as a side effect.
-    """
-    store = open_store(path)
-    store.load()
-    if isinstance(store, ShardedResultStore):
-        store._load_all()
-        for key in sorted(store._shards):
-            yield from store._shards[key].values()
-    else:
-        yield from store._records.values()

@@ -11,7 +11,7 @@ import repro.runner.executor as executor_module
 from repro.runner.executor import execute_scenario, run_scenarios, run_sweep
 from repro.runner.reporting import SweepProgressPrinter, format_sweep_summary
 from repro.runner.spec import ScenarioSpec, SweepSpec
-from repro.runner.store import ResultStore
+from repro.runner.store import ShardedResultStore
 
 #: A grid small enough for unit tests: two placement policies + one
 #: heterogeneity scenario, all on the tiny presets.
@@ -252,7 +252,7 @@ class TestStoreIntegration:
         assert full.cached == 2 and full.executed == 1
 
     def test_store_accepts_instance(self, tmp_path):
-        store = ResultStore(tmp_path / "results.jsonl")
+        store = ShardedResultStore(tmp_path / "results")
         outcome = run_scenarios(
             (ScenarioSpec(experiment="placement", platform="tiny", workload="tiny"),),
             store=store,

@@ -1,7 +1,8 @@
-"""Tests for the JSONL result store and its aggregation."""
+"""Tests for the result store: records, crash safety, concurrency, aggregation."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.runner.spec import ScenarioSpec
-from repro.runner.store import ResultStore, ScenarioResult, summarize
+from repro.runner.store import ScenarioResult, ShardedResultStore, summarize
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -52,13 +53,21 @@ class TestScenarioResult:
         assert make_result().as_cached().cached
 
 
+def same_shard(like: ScenarioResult, policy: str = "RANDOM") -> ScenarioResult:
+    """A ``policy`` result whose hash lands in the same shard file as ``like``."""
+    for seed in itertools.count():
+        candidate = make_result(policy=policy, seed=seed)
+        if candidate.scenario_hash[0] == like.scenario_hash[0]:
+            return candidate
+
+
 class TestResultStore:
     def test_missing_file_is_empty(self, tmp_path):
-        store = ResultStore(tmp_path / "results.jsonl").load()
+        store = ShardedResultStore(tmp_path / "results").load()
         assert len(store) == 0
 
     def test_put_then_get_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path / "results.jsonl").load()
+        store = ShardedResultStore(tmp_path / "results").load()
         result = make_result()
         store.put(result)
         assert result.scenario_hash in store
@@ -67,106 +76,126 @@ class TestResultStore:
         assert fetched.cached
 
     def test_persists_across_instances(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        ResultStore(path).load().put(make_result())
-        reloaded = ResultStore(path).load()
+        path = tmp_path / "results"
+        ShardedResultStore(path).load().put(make_result())
+        reloaded = ShardedResultStore(path).load()
         assert len(reloaded) == 1
         assert reloaded.get(make_result().scenario_hash) is not None
 
     def test_last_record_wins(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        store = ResultStore(path).load()
+        path = tmp_path / "results"
+        store = ShardedResultStore(path).load()
         store.put(make_result(makespan=10.0))
         store.put(make_result(makespan=20.0))
-        reloaded = ResultStore(path).load()
+        reloaded = ShardedResultStore(path).load()
         assert reloaded.get(make_result().scenario_hash).metrics["makespan"] == 20.0
 
     def test_corrupt_line_raises(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        path.write_text("not json\n")
+        path = tmp_path / "results"
+        path.mkdir()
+        (path / "shard-0.jsonl").write_text("not json\n")
         with pytest.raises(ValueError, match="corrupt store record"):
-            ResultStore(path).load()
+            len(ShardedResultStore(path).load())  # shards parse lazily
 
     def test_results_sorted_by_scenario_id(self, tmp_path):
-        store = ResultStore(tmp_path / "results.jsonl").load()
+        store = ShardedResultStore(tmp_path / "results").load()
         store.put(make_result(policy="RANDOM"))
         store.put(make_result(policy="POWER"))
         assert [r.spec.policy for r in store.results()] == ["POWER", "RANDOM"]
 
     def test_refresh_sees_another_writers_append(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        reader = ResultStore(path).load()
-        ResultStore(path).load().put(make_result())
+        path = tmp_path / "results"
+        reader = ShardedResultStore(path).load()
+        assert reader.get(make_result().scenario_hash) is None  # reads its shard
+        ShardedResultStore(path).load().put(make_result())
         assert len(reader) == 0  # stale snapshot
         assert len(reader.refresh()) == 1
 
 
 class TestCrashSafety:
-    """The resumability promise: a crashed append never poisons the store."""
+    """The resumability promise: a crashed append never poisons the store.
+
+    Each test works on one shard file holding two records, so a repair
+    must keep the complete record that shares the file with the torn one.
+    """
+
+    POWER = make_result(policy="POWER")
+    RANDOM = same_shard(POWER)
 
     def test_truncated_final_line_is_quarantined(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        store = ResultStore(path).load()
-        store.put(make_result(policy="POWER"))
-        store.put(make_result(policy="RANDOM"))
+        root = tmp_path / "results"
+        store = ShardedResultStore(root).load()
+        store.put(self.POWER)
+        store.put(self.RANDOM)
+        path = store.shard_path(self.RANDOM.scenario_hash)
         # Simulate a crash mid-append: tear the second record in half.
         data = path.read_bytes()
         cut = data.rindex(b'"metrics"')
         path.write_bytes(data[:cut])
         with pytest.warns(RuntimeWarning, match="quarantined a truncated final record"):
-            reloaded = ResultStore(path).load()
-        assert len(reloaded) == 1
+            reloaded = ShardedResultStore(root).load()
+            assert len(reloaded) == 1
         assert reloaded.get(make_result(policy="POWER").scenario_hash) is not None
         assert reloaded.quarantined() == 1
 
     def test_quarantine_truncates_so_next_append_is_clean(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        ResultStore(path).load().put(make_result(policy="POWER"))
+        root = tmp_path / "results"
+        ShardedResultStore(root).load().put(self.POWER)
+        path = ShardedResultStore(root).load().shard_path(self.POWER.scenario_hash)
         with path.open("ab") as handle:
             handle.write(b'{"hash": "torn')
         with pytest.warns(RuntimeWarning):
-            repaired = ResultStore(path).load()
-        repaired.put(make_result(policy="RANDOM"))
+            repaired = ShardedResultStore(root).load()
+            len(repaired)
+        repaired.put(self.RANDOM)
         # A fresh load parses every line — no concatenated garbage.
-        final = ResultStore(path).load()
+        final = ShardedResultStore(root).load()
         assert len(final) == 2
         assert final.quarantined() == 1
 
     def test_put_repairs_a_predecessors_torn_tail(self, tmp_path):
         """An append onto a torn tail must not glue records together."""
-        path = tmp_path / "results.jsonl"
-        ResultStore(path).load().put(make_result(policy="POWER"))
+        root = tmp_path / "results"
+        ShardedResultStore(root).load().put(self.POWER)
+        path = ShardedResultStore(root).load().shard_path(self.POWER.scenario_hash)
         with path.open("ab") as handle:
             handle.write(b'{"hash": "torn')
-        writer = ResultStore(path)
-        writer._loaded = True  # writer that never re-read the file
+        writer = ShardedResultStore(root).load()  # never reads the shard
         with pytest.warns(RuntimeWarning):
-            writer.put(make_result(policy="RANDOM"))
-        final = ResultStore(path).load()
+            writer.put(self.RANDOM)
+        final = ShardedResultStore(root).load()
         assert len(final) == 2
         assert final.quarantined() == 1
 
     def test_interior_corruption_still_raises(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        store = ResultStore(path).load()
-        store.put(make_result(policy="POWER"))
+        root = tmp_path / "results"
+        store = ShardedResultStore(root).load()
+        store.put(self.POWER)
+        path = store.shard_path(self.POWER.scenario_hash)
         with path.open("a", encoding="utf-8") as handle:
             handle.write("not json\n")  # complete (newline-terminated) garbage
-        store.put(make_result(policy="RANDOM"))
+        store.put(self.RANDOM)
         with pytest.raises(ValueError, match="corrupt store record"):
-            ResultStore(path).load()
+            len(ShardedResultStore(root).load())
 
     def test_complete_final_record_without_newline_is_kept(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        record = json.dumps(make_result().to_record(), sort_keys=True)
+        root = tmp_path / "results"
+        root.mkdir()
+        result = make_result()
+        path = ShardedResultStore(root).load().shard_path(result.scenario_hash)
+        record = json.dumps(result.to_record(), sort_keys=True)
         path.write_text(record)  # hand-made file, no trailing newline
-        store = ResultStore(path).load()
+        store = ShardedResultStore(root).load()
         assert len(store) == 1
         assert store.quarantined() == 0
 
 
 class TestConcurrentAppends:
-    """fcntl-locked single-write appends never interleave across processes."""
+    """fcntl-locked single-write appends never interleave across processes.
+
+    Every writer's seeds are chosen to land in one shard, so all four
+    processes append to the same file.
+    """
 
     N_PROCS = 4
     N_RECORDS = 20
@@ -175,10 +204,10 @@ class TestConcurrentAppends:
 import sys
 sys.path.insert(0, {src!r})
 from repro.runner.spec import ScenarioSpec
-from repro.runner.store import ResultStore, ScenarioResult
+from repro.runner.store import ShardedResultStore, ScenarioResult
 
-store = ResultStore({path!r}).load()
-for seed in range({start}, {start} + {count}):
+store = ShardedResultStore({path!r}).load()
+for seed in {seeds!r}:
     store.put(ScenarioResult(
         spec=ScenarioSpec(policy="RANDOM", seed=seed),
         metrics={{"makespan": float(seed)}},
@@ -187,8 +216,19 @@ for seed in range({start}, {start} + {count}):
     ))
 """
 
+    @staticmethod
+    def one_shard_seeds(count: int) -> list[int]:
+        first = ScenarioSpec(policy="RANDOM", seed=0).content_hash()[0]
+        seeds = (
+            seed
+            for seed in itertools.count()
+            if ScenarioSpec(policy="RANDOM", seed=seed).content_hash()[0] == first
+        )
+        return list(itertools.islice(seeds, count))
+
     def test_parallel_processes_hammering_one_file(self, tmp_path):
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results"
+        all_seeds = self.one_shard_seeds(self.N_PROCS * self.N_RECORDS)
         procs = [
             subprocess.Popen(
                 [
@@ -197,8 +237,7 @@ for seed in range({start}, {start} + {count}):
                     self._WRITER.format(
                         src=SRC,
                         path=str(path),
-                        start=worker * self.N_RECORDS,
-                        count=self.N_RECORDS,
+                        seeds=all_seeds[worker * self.N_RECORDS :][: self.N_RECORDS],
                     ),
                 ]
             )
@@ -206,11 +245,12 @@ for seed in range({start}, {start} + {count}):
         ]
         for proc in procs:
             assert proc.wait(timeout=120) == 0
-        store = ResultStore(path).load()
+        store = ShardedResultStore(path).load()
+        assert len(store.shard_files()) == 1
         assert len(store) == self.N_PROCS * self.N_RECORDS
         assert store.quarantined() == 0
         seeds = sorted(r.spec.seed for r in store.results())
-        assert seeds == list(range(self.N_PROCS * self.N_RECORDS))
+        assert seeds == all_seeds
 
 
 class TestSummarize:

@@ -1,4 +1,4 @@
-"""Tests for the sharded store directory: layout, laziness, migration."""
+"""Tests for the store directory: layout, metadata, laziness, migration."""
 
 from __future__ import annotations
 
@@ -10,13 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.runner.spec import ScenarioSpec
-from repro.runner.store import (
-    STORE_META_NAME,
-    ResultStore,
-    ScenarioResult,
-    ShardedResultStore,
-    open_store,
-)
+from repro.runner.store import STORE_META_NAME, ScenarioResult, ShardedResultStore
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -32,6 +26,13 @@ def fill(store, count: int) -> list[ScenarioResult]:
     results = [make_result(seed=seed) for seed in range(count)]
     for result in results:
         store.put(result)
+    return results
+
+
+def write_legacy(path: Path, count: int) -> list[ScenarioResult]:
+    """A legacy single-file store: one JSON record per line."""
+    results = [make_result(seed=seed) for seed in range(count)]
+    path.write_text("".join(json.dumps(r.to_record()) + "\n" for r in results))
     return results
 
 
@@ -61,13 +62,19 @@ class TestLayout:
 
     def test_meta_file_written_and_adopted(self, tmp_path):
         root = tmp_path / "store"
-        ShardedResultStore(root, prefix_len=2).load().put(make_result())
+        ShardedResultStore(root).load().put(make_result())
         meta = json.loads((root / STORE_META_NAME).read_text())
-        assert meta["prefix_len"] == 2
-        # Reopening with the default ctor adopts the on-disk layout.
-        reopened = ShardedResultStore(root).load()
-        assert reopened.prefix_len == 2
-        assert reopened.shard_count == 256
+        assert meta == {"format": "sharded-jsonl", "prefix_len": 1, "version": 1}
+        # A store written with a longer prefix keeps its layout on reopen.
+        wide = tmp_path / "wide"
+        wide.mkdir()
+        (wide / STORE_META_NAME).write_text(json.dumps({**meta, "prefix_len": 2}))
+        result = make_result()
+        ShardedResultStore(wide).load().put(result)
+        assert (wide / f"shard-{result.scenario_hash[:2]}.jsonl").is_file()
+        reopened = ShardedResultStore(wide).load()
+        assert reopened.get(result.scenario_hash).metrics == result.metrics
+        assert len(reopened) == 1
 
     def test_persists_across_instances(self, tmp_path):
         root = tmp_path / "store"
@@ -86,9 +93,33 @@ class TestLayout:
         assert reloaded.get(spec.content_hash()).metrics["makespan"] == 2.0
         assert len(reloaded) == 1
 
-    def test_invalid_prefix_len_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="prefix_len"):
-            ShardedResultStore(tmp_path / "store", prefix_len=0)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("format", None),
+            ("format", "flat-jsonl"),
+            ("version", 2),
+            ("version", True),
+            ("prefix_len", 0),
+            ("prefix_len", -1),
+            ("prefix_len", 5),
+            ("prefix_len", 99),
+            ("prefix_len", 1.5),
+            ("prefix_len", "1"),
+            ("prefix_len", True),
+        ],
+    )
+    def test_invalid_meta_rejected(self, tmp_path, field, value):
+        root = tmp_path / "store"
+        root.mkdir()
+        meta = {"format": "sharded-jsonl", "version": 1, "prefix_len": 1}
+        if value is None:
+            del meta[field]
+        else:
+            meta[field] = value
+        (root / STORE_META_NAME).write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=rf"store\.json: .*'{field}'"):
+            ShardedResultStore(root).load()
 
 
 class TestLazyLoading:
@@ -139,7 +170,7 @@ class TestLazyLoading:
 class TestMigration:
     def test_single_file_migrates_on_open(self, tmp_path):
         legacy = tmp_path / "results.jsonl"
-        originals = fill(ResultStore(legacy).load(), 12)
+        originals = write_legacy(legacy, 12)
         store = ShardedResultStore(legacy).load()
         assert legacy.is_dir()
         assert (legacy / STORE_META_NAME).exists()
@@ -150,20 +181,22 @@ class TestMigration:
 
     def test_migrated_store_reopens_as_plain_directory(self, tmp_path):
         legacy = tmp_path / "results.jsonl"
-        fill(ResultStore(legacy).load(), 5)
+        write_legacy(legacy, 5)
         ShardedResultStore(legacy).load()
         assert len(ShardedResultStore(legacy).load()) == 5
-        assert isinstance(open_store(legacy), ShardedResultStore)
+        assert legacy.is_dir()
 
     def test_migration_quarantines_a_torn_legacy_tail(self, tmp_path):
         legacy = tmp_path / "results.jsonl"
-        fill(ResultStore(legacy).load(), 3)
+        write_legacy(legacy, 3)
         with legacy.open("ab") as handle:
             handle.write(b'{"hash": "torn')
         with pytest.warns(RuntimeWarning, match="quarantined"):
             store = ShardedResultStore(legacy).load()
         assert len(store) == 3
         assert store.quarantined() == 1
+        sidecar = legacy / "results.jsonl.quarantine"
+        assert sidecar.read_bytes() == b'{"hash": "torn\n'
 
     def test_interrupted_migration_completes_on_next_open(self, tmp_path):
         root = tmp_path / "store"
@@ -178,21 +211,28 @@ class TestMigration:
 
 
 class TestOpenStore:
+    """Every path opens the one store: no name or suffix picks a layout."""
+
     def test_existing_directory_opens_sharded(self, tmp_path):
         root = tmp_path / "store"
         ShardedResultStore(root).load().put(make_result())
-        assert isinstance(open_store(root), ShardedResultStore)
+        assert len(ShardedResultStore(root).load()) == 1
 
-    def test_existing_file_stays_single_file(self, tmp_path):
+    def test_existing_file_migrates(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        ResultStore(path).load().put(make_result())
-        assert isinstance(open_store(path), ResultStore)
+        write_legacy(path, 1)
+        assert len(ShardedResultStore(path).load()) == 1
+        assert path.is_dir()
 
-    def test_fresh_jsonl_path_opens_single_file(self, tmp_path):
-        assert isinstance(open_store(tmp_path / "new.jsonl"), ResultStore)
+    def test_fresh_jsonl_path_becomes_a_directory(self, tmp_path):
+        path = tmp_path / "new.jsonl"
+        ShardedResultStore(path).load().put(make_result())
+        assert (path / STORE_META_NAME).is_file()
 
     def test_fresh_bare_path_opens_sharded(self, tmp_path):
-        assert isinstance(open_store(tmp_path / "results"), ShardedResultStore)
+        path = tmp_path / "results"
+        ShardedResultStore(path).load().put(make_result())
+        assert (path / STORE_META_NAME).is_file()
 
 
 class TestConcurrentAppends:

@@ -171,6 +171,8 @@ class TestCooperatingWorkers:
 #: Crash harness: runs a --jobs 4 sweep against a sharded store, and after
 #: the second completion tears the tail of a shard file and SIGKILLs the
 #: whole process group — simulating a power-loss-grade failure mid-append.
+#: Start it with ``start_new_session=True`` so the group is its own: the
+#: kill then takes its pool workers along and spares the test runner.
 _CRASHER = """
 import os, signal, sys
 sys.path.insert(0, {src!r})
@@ -196,7 +198,7 @@ def progress(index, result, total):
         shard = os.path.join({store!r}, "shard-" + result.scenario_hash[0] + ".jsonl")
         with open(shard, "ab") as handle:
             handle.write(b'{{"hash": "torn-by-sigkill')
-        os.kill(os.getpid(), signal.SIGKILL)
+        os.killpg(0, signal.SIGKILL)
 
 run_scenarios(iter_grid(GRID), jobs=4, store={store!r}, progress=progress)
 """
@@ -208,6 +210,7 @@ class TestKillMidSweep:
         proc = subprocess.run(
             [sys.executable, "-c", _CRASHER.format(src=SRC, store=str(store))],
             timeout=120,
+            start_new_session=True,
         )
         assert proc.returncode == -signal.SIGKILL
 
@@ -244,6 +247,7 @@ class TestKillMidSweep:
         proc = subprocess.run(
             [sys.executable, "-c", _CRASHER.format(src=SRC, store=str(store))],
             timeout=120,
+            start_new_session=True,
         )
         assert proc.returncode == -signal.SIGKILL
         with warnings.catch_warnings():

@@ -1,13 +1,27 @@
 """Tests for the command-line interface."""
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro import __version__
 from repro.cli import build_parser, main
+from repro.runner.grids import grid
+from repro.runner.store import ScenarioResult, ShardedResultStore
 
 DATA = Path(__file__).parent / "data"
+
+
+def write_legacy_store(path: Path) -> None:
+    """A legacy single-file store of the smoke grid: one record per line."""
+    metrics = {"makespan": 1.0, "total_energy": 2.0, "greenperf": 3.0}
+    path.write_text(
+        "".join(
+            json.dumps(ScenarioResult(spec, metrics).to_record()) + "\n"
+            for spec in grid("smoke")
+        )
+    )
 
 
 class TestParser:
@@ -134,6 +148,14 @@ class TestSweepCommand:
         assert "3 scenarios — 0 executed, 3 cached" in out
         assert "hit" in out and "] run" not in out
 
+    def test_legacy_file_store_migrates_and_serves_hits(self, capsys, tmp_path):
+        store = tmp_path / "legacy.jsonl"
+        write_legacy_store(store)
+        assert main(["sweep", "--grid", "smoke", "--store", str(store)]) == 0
+        assert "3 scenarios — 0 executed, 3 cached" in capsys.readouterr().out
+        assert store.is_dir()
+        assert (tmp_path / "legacy.jsonl.pre-shard.bak").is_file()
+
     def test_filter_restricts_grid(self, capsys):
         assert main(["sweep", "--grid", "smoke", "--filter", "heterogeneity"]) == 0
         out = capsys.readouterr().out
@@ -236,13 +258,13 @@ class TestSweepCommand:
 class TestStoreCommand:
     def test_verify_single_file_store(self, capsys, tmp_path):
         store = str(tmp_path / "results.jsonl")
-        assert main(["sweep", "--grid", "smoke", "--store", store]) == 0
-        capsys.readouterr()
+        write_legacy_store(Path(store))
         assert main(["store", "verify", store]) == 0
         out = capsys.readouterr().out
         assert "store ok — 3 record(s)" in out
         assert "layout: single-file JSONL" in out
         assert "quarantined: 0" in out
+        assert Path(store).is_file()  # verifying never migrates
 
     def test_verify_sharded_store(self, capsys, tmp_path):
         store = str(tmp_path / "store")
@@ -261,6 +283,13 @@ class TestStoreCommand:
         err = capsys.readouterr().err
         assert "corrupt store record" in err
         assert "Traceback" not in err
+        bad_meta = tmp_path / "store"
+        bad_meta.mkdir()
+        (bad_meta / "store.json").write_text(
+            '{"format": "sharded-jsonl", "version": 1, "prefix_len": 0}'
+        )
+        assert main(["store", "verify", str(bad_meta)]) == 2
+        assert "'prefix_len' must be an int in [1, 4]" in capsys.readouterr().err
 
     def test_verify_missing_store_exits_2(self, capsys, tmp_path):
         assert main(["store", "verify", str(tmp_path / "nope")]) == 2
@@ -268,8 +297,7 @@ class TestStoreCommand:
 
     def test_verify_reports_quarantined_tail(self, capsys, tmp_path):
         store = str(tmp_path / "results.jsonl")
-        assert main(["sweep", "--grid", "smoke", "--store", store]) == 0
-        capsys.readouterr()
+        write_legacy_store(Path(store))
         with open(store, "ab") as handle:
             handle.write(b'{"hash": "torn')
         assert main(["store", "verify", store]) == 0
@@ -279,8 +307,7 @@ class TestStoreCommand:
 
     def test_migrate_shards_a_legacy_file(self, capsys, tmp_path):
         store = str(tmp_path / "results.jsonl")
-        assert main(["sweep", "--grid", "smoke", "--store", store]) == 0
-        capsys.readouterr()
+        write_legacy_store(Path(store))
         assert main(["store", "migrate", store]) == 0
         out = capsys.readouterr().out
         assert "migrated" in out
@@ -300,6 +327,30 @@ class TestStoreCommand:
     def test_migrate_missing_file_exits_2(self, capsys, tmp_path):
         assert main(["store", "migrate", str(tmp_path / "nope.jsonl")]) == 2
         assert "no single-file store" in capsys.readouterr().err
+
+    @staticmethod
+    def interrupted_migration(tmp_path: Path) -> Path:
+        """Leave only ``<name>.migrating/`` and ``<name>.pre-shard.bak``: a
+        migration that crashed between its two renames."""
+        store = tmp_path / "results.jsonl"
+        write_legacy_store(store)
+        ShardedResultStore(store).load()
+        store.rename(tmp_path / "results.jsonl.migrating")
+        return store
+
+    def test_migrate_completes_an_interrupted_migration(self, capsys, tmp_path):
+        store = self.interrupted_migration(tmp_path)
+        assert main(["store", "migrate", str(store)]) == 0
+        assert "migrated" in capsys.readouterr().out
+        assert store.is_dir()
+        assert len(ShardedResultStore(store).load()) == 3
+
+    def test_verify_completes_an_interrupted_migration(self, capsys, tmp_path):
+        store = self.interrupted_migration(tmp_path)
+        assert main(["store", "verify", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert "store ok — 3 record(s)" in out
+        assert "layout: sharded" in out
 
 
 class TestVersion:
